@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gaudin import GaudinModel, SpectrumResult, _params, validate_model
+from .gaudin import GaudinModel, SpectrumResult, _params, mu_residuals, validate_model
 from .operators import VerificationReport
 from .special_functions import _mult_dist_to_lattice, theta, theta_log_deriv, weierstrass_p
 
@@ -232,16 +232,6 @@ def bethe_solve_rational(m: GaudinModel, n_roots: int, seeds: int = 60,
     return out
 
 
-def _mu_rule_residuals(mu, z, lam):
-    mu = np.asarray(mu, dtype=complex)
-    c = 2 * lam * (lam - 1)
-    return (
-        complex(mu.sum()),
-        complex((mu * z).sum() + c.sum()),
-        complex((mu * z**2).sum() + (2 * c * z).sum()),
-    )
-
-
 def singlet_solutions(m: GaudinModel, seeds: int = 60, seed: int = 20260814,
                       tol: float = 1e-8):
     """Separated solutions whose mu passes the three linear admissibility rules.
@@ -257,10 +247,8 @@ def singlet_solutions(m: GaudinModel, seeds: int = 60, seed: int = 20260814,
         raise BetheError("rational_case_only")
     if m.N > _PATTERN_CAP:
         raise BetheError("pattern_enumeration_needs_explicit_exponents")
-    z = np.asarray(m.z, dtype=complex)
-    lam = np.asarray(m.lam, dtype=complex)
     sols = []
-    for pat in itertools.product(*[indicial_exponents(l) for l in lam]):
+    for pat in itertools.product(*[indicial_exponents(l) for l in m.lam]):
         ssum = complex(np.sum(pat))
         for deg in (0.0, 1.0):
             nf = deg - ssum
@@ -268,7 +256,7 @@ def singlet_solutions(m: GaudinModel, seeds: int = 60, seed: int = 20260814,
             if abs(nf - n) > 1e-9 or n < 0:
                 continue
             for sol in bethe_solve_rational(m, n, seeds=seeds, exponents=pat, seed=seed):
-                if max(abs(v) for v in _mu_rule_residuals(sol.mu, z, lam)) > tol:
+                if np.abs(mu_residuals(sol.mu, m.z, m.lam)).max() > tol:
                     continue
                 if any(max(abs(x - y) for x, y in zip(sol.mu, other.mu)) < 1e-7
                        for other in sols):

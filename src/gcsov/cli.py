@@ -40,19 +40,24 @@ from .bethe import (
     verify_separated_solution,
 )
 from .gaudin import (
+    MU_RULES,
     DimensionCapError,
     GaudinModel,
     GaudinModelError,
     RepresentationError,
+    _params,
     check_linear_relations,
     joint_spectrum,
     make_model,
     model_violations,
+    mu_constraints,
+    mu_residuals,
     rational_matrix_reports,
 )
 from .operators import VerificationReport
 from .sov import (
     SovError,
+    _draw_t2,
     elliptic_u_to_w,
     elliptic_w_to_u,
     radon_hamiltonians_elliptic,
@@ -144,20 +149,16 @@ def load_model(path: str) -> GaudinModel:
     return m
 
 
+_MU_RULE_TEXT = ("sum mu_a = 0",
+                 "sum mu_a z_a + sum 2 lam(lam-1) = 0",
+                 "sum mu_a z_a^2 + sum 4 lam(lam-1) z_a = 0")
+
+
 def _violation_detail(name: str, m: GaudinModel) -> str:
-    if m.mu is not None and name.startswith("mu_"):
-        mu = np.asarray(m.mu)
-        z = np.asarray(m.z)
-        lam = np.asarray(m.lam)
-        res = {
-            "mu_sum_rule": ("sum mu_a = 0", mu.sum()),
-            "mu_moment1_rule": ("sum mu_a z_a + sum 2 lam(lam-1) = 0",
-                                (mu * z).sum() + (2 * lam * (lam - 1)).sum()),
-            "mu_moment2_rule": ("sum mu_a z_a^2 + sum 4 lam(lam-1) z_a = 0",
-                                (mu * z**2).sum() + (4 * lam * (lam - 1) * z).sum()),
-        }.get(name)
-        if res is not None:
-            return f"{name} ({res[0]}) residual {abs(res[1]):.3e}"
+    if m.mu is not None and name in MU_RULES:
+        k = MU_RULES.index(name)
+        res = mu_residuals(m.mu, m.z, m.lam)[k]
+        return f"{name} ({_MU_RULE_TEXT[k]}) residual {abs(res):.3e}"
     return name
 
 
@@ -173,13 +174,7 @@ def default_model(case: str, subcommand: str = "") -> GaudinModel:
             return make_model((0.0, 1.0), (-0.5, -0.5))
         z = (0.0, 1.0, 2.5)
         lam = (-0.5, -0.5, -1.0)
-        za = np.asarray(z)
-        la = np.asarray(lam)
-        A = np.vstack([np.ones(3), za, za**2])
-        b = np.array([0.0,
-                      -(2 * la * (la - 1)).sum(),
-                      -(4 * la * (la - 1) * za).sum()])
-        mu = np.linalg.solve(A, b)
+        mu = np.linalg.solve(*mu_constraints(z, lam))
         return make_model(z, lam, mu=tuple(mu))
     if case == "elliptic":
         if subcommand == "bethe":
@@ -241,11 +236,14 @@ def _suite_theta_eval(cfg: RunConfig):
         worst = max(worst, abs(theta(zz, p0) - (1.0 - zz)))
     recs.append(mk("theta-qzero-degeneration", worst, "theta -> 1 - z as q -> 0"))
 
+    # Laurent constant: wp(tau) = 1/tau^2 + c0 + O(tau^2)
+    c0 = -1.0 / 12.0 + 2.0 * sum(q**k / (1.0 - q**k) ** 2 for k in range(1, p.trunc + 1))
     worst = 0.0
     for _ in range(n):
         tau = 10.0 ** rng.uniform(-5.0, -4.0) * cmath.exp(2j * math.pi * rng.random())
-        worst = max(worst, abs(weierstrass_p(cmath.exp(tau), p) * tau**2 - 1.0))
-    recs.append(mk("wp-pole-behavior", worst, "wp(tau) tau^2 -> 1 at the origin"))
+        worst = max(worst, abs(weierstrass_p(cmath.exp(tau), p) * tau**2 - 1.0 - c0 * tau**2))
+    recs.append(mk("wp-pole-behavior", worst,
+                   "wp(tau) tau^2 = 1 + c0(q) tau^2 + O(tau^4) at the origin"))
 
     worst = 0.0
     count = 0
@@ -294,13 +292,13 @@ def _roundtrip_rational(m: GaudinModel, cfg: RunConfig) -> VerificationReport:
 
 
 def _roundtrip_elliptic(m: GaudinModel, cfg: RunConfig) -> VerificationReport:
-    p = EllipticParams(q=m.elliptic.q)
+    p = _params(m)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     done = 0
     while done < cfg.trials:
-        t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0.0, 2.0 * math.pi)))
-        if _mult_dist_to_lattice(t2, p) < 0.15:
+        t2 = _draw_t2(rng, p)
+        if t2 is None:
             continue
         u = rng.standard_normal(m.N) + 1j * rng.standard_normal(m.N)
         if np.abs(u).min() < 0.1 * np.abs(u).max():
@@ -333,12 +331,12 @@ def _suite_identity(cfg: RunConfig):
         recs.append(_roundtrip_rational(m, cfg))
     else:
         fit = radon_hamiltonians_elliptic(m, seed=cfg.seed)
-        p = EllipticParams(q=m.elliptic.q)
+        p = _params(m)
         rng = np.random.default_rng(cfg.seed)
         worst, done = 0.0, 0
         while done < min(cfg.trials, 5):
-            t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0.0, 2.0 * math.pi)))
-            if _mult_dist_to_lattice(t2, p) < 0.15:
+            t2 = _draw_t2(rng, p)
+            if t2 is None:
                 continue
             u = rng.standard_normal(m.N) + 1j * rng.standard_normal(m.N)
             worst = max(worst, fit.fit_residual((t2,) + tuple(u)))
@@ -481,9 +479,10 @@ def _parse(argv):
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--trials", type=int, default=20)
         sp.add_argument("--seed", type=int, default=20260814)
-        sp.add_argument("--trunc", type=int, default=0,
-                        help="theta series truncation override (0 = automatic)")
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
+        if name == "theta-eval":
+            sp.add_argument("--trunc", type=int, default=0,
+                            help="theta series truncation override (0 = automatic)")
         if name == "bethe":
             sp.add_argument("--roots", type=int, default=None,
                             help="root count (default: 1 rational, sum lam elliptic)")
@@ -524,7 +523,7 @@ def main(argv=None) -> int:
             tol=args.tol,
             trials=args.trials,
             seed=args.seed,
-            trunc=args.trunc,
+            trunc=getattr(args, "trunc", 0),
             out=args.out,
             roots=getattr(args, "roots", None),
             seeds=getattr(args, "seeds", 40),

@@ -21,24 +21,26 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .operators import (
     ConstCoef,
-    Coefficient,
     DifferentialOperator,
     FuncCoef,
     Monomial,
     ProdCoef,
     SumCoef,
     VerificationReport,
+    axis_index,
+    axis_monomial,
     eval_terms,
     make_op,
     op_apply,
+    op_commutator,
     op_compose,
 )
 from .special_functions import (
@@ -136,6 +138,26 @@ def make_model(z, lam, mu=None, q=None, k=0, mu0=None) -> GaudinModel:
     )
 
 
+MU_RULES = ("mu_sum_rule", "mu_moment1_rule", "mu_moment2_rule")
+
+
+def mu_constraints(z, lam):
+    """The three linear rules on an admissible mu as A mu = b.
+
+    Rows 1, z, z^2; right-hand side 0, -sum 2 lam(lam-1), -sum 4 lam(lam-1) z.
+    """
+    z, lam = np.asarray(z), np.asarray(lam)
+    c = 2 * lam * (lam - 1)
+    A = np.vstack([np.ones(len(z)), z, z**2])
+    return A, np.array([0.0, -c.sum(), -(2 * c * z).sum()])
+
+
+def mu_residuals(mu, z, lam) -> np.ndarray:
+    """A mu - b for the MU_RULES, row by row."""
+    A, b = mu_constraints(z, lam)
+    return (np.asarray(mu) * A).sum(axis=1) - b
+
+
 def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
     """Named invariant violations; empty list means the model is admissible."""
     out = []
@@ -154,16 +176,11 @@ def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
                     out.append("sites_not_distinct")
                     break
         if m.mu is not None and "length_mismatch" not in out:
-            z, lam, mu = np.array(m.z), np.array(m.lam), np.array(m.mu)
-            checks = {
-                "mu_sum_rule": mu.sum(),
-                "mu_moment1_rule": (mu * z).sum() + (2 * lam * (lam - 1)).sum(),
-                "mu_moment2_rule": (mu * z**2).sum() + (4 * lam * (lam - 1) * z).sum(),
-            }
-            out.extend(name for name, v in checks.items() if abs(v) > tol)
+            out.extend(name for name, v in zip(MU_RULES, mu_residuals(m.mu, m.z, m.lam))
+                       if abs(v) > tol)
     else:
         q = m.elliptic.q
-        if abs(q) >= 1:
+        if not 0 < abs(q) < 1:
             out.append("bad_nome")
         if any(zv == 0 for zv in m.z):
             out.append("zero_site")
@@ -175,7 +192,7 @@ def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
                         out.append("sites_not_distinct_mod_q")
                         break
         if m.mu is not None and "length_mismatch" not in out:
-            if abs(sum(m.mu)) > tol:
+            if abs(mu_residuals(m.mu, m.z, m.lam)[0]) > tol:
                 out.append("mu_sum_rule")
     return sorted(set(out))
 
@@ -297,17 +314,9 @@ def check_linear_relations(s: SpectrumResult, m: GaudinModel,
 
     sum mu = 0; sum mu z + sum 2 lam(lam-1) = 0; sum mu z^2 + sum 4 lam(lam-1) z = 0.
     """
-    z = np.array(m.z)
-    lam = np.array(m.lam)
     worst = 0.0
     for mu in s.eigen_tuples:
-        mu = np.array(mu)
-        worst = max(
-            worst,
-            abs(mu.sum()),
-            abs((mu * z).sum() + (2 * lam * (lam - 1)).sum()),
-            abs((mu * z**2).sum() + (4 * lam * (lam - 1) * z).sum()),
-        )
+        worst = max(worst, float(np.abs(mu_residuals(mu, m.z, m.lam)).max()))
     return VerificationReport("singlet-tuple-constraints", 3 * len(s.eigen_tuples),
                               float(worst), tol, seed=0,
                               anchor="eigenvalue sum rules for the rational Hamiltonians")
@@ -321,8 +330,7 @@ def rational_matrix_reports(m: GaudinModel, tol: float = 1e-10) -> list:
     E1 = sum(zi * ei for zi, ei in zip(m.z, es))
     F1 = sum(zi * fi for zi, fi in zip(m.z, fs))
     H1 = sum(zi * hi for zi, hi in zip(m.z, hs))
-    z = np.array(m.z)
-    lam = np.array(m.lam)
+    _, rhs = mu_constraints(m.z, m.lam)
     eye = np.eye(Ls[0].shape[0])
 
     comm = 0.0
@@ -334,9 +342,9 @@ def rational_matrix_reports(m: GaudinModel, tol: float = 1e-10) -> list:
 
     sum_zero = float(np.abs(sum(Ls)).max())
 
-    m1 = sum(zi * L for zi, L in zip(m.z, Ls)) + (2 * lam * (lam - 1)).sum() * eye \
+    m1 = sum(zi * L for zi, L in zip(m.z, Ls)) - rhs[1] * eye \
         - (E @ F + F @ E + 0.5 * (H @ H))
-    m2 = sum(zi**2 * L for zi, L in zip(m.z, Ls)) + (4 * lam * (lam - 1) * z).sum() * eye \
+    m2 = sum(zi**2 * L for zi, L in zip(m.z, Ls)) - rhs[2] * eye \
         - 2.0 * (E1 @ F + F1 @ E + 0.5 * (H1 @ H))
 
     mk = lambda label, val, anchor: VerificationReport(label, n_pairs or 1, val, tol, 0, anchor)
@@ -391,18 +399,6 @@ def _acc(terms, I, coef):
     terms[I] = SumCoef((terms[I], coef)) if I in terms else coef
 
 
-def _unit(nvars, i, power=1):
-    I = [0] * nvars
-    I[i] = power
-    return tuple(I)
-
-
-def _mono(nvars, i, power, scale=1.0):
-    e = [0] * nvars
-    e[i] = power
-    return Monomial(tuple(e), scale)
-
-
 def elliptic_current_operators(m: GaudinModel, z):
     """Currents e(z), f(z), h(z) on (tsq, t_1..t_N).
 
@@ -426,15 +422,15 @@ def elliptic_current_operators(m: GaudinModel, z):
         tau = theta_log_deriv(ratio, p)
         i = a + 1
         # e^(a) = t_a^2 d_a + 2 lam_a t_a
-        _acc(e_terms, _unit(nv, i), ProdCoef((aC, _mono(nv, i, 2))))
-        _acc(e_terms, (0,) * nv, ProdCoef((aC, _mono(nv, i, 1, 2 * la))))
+        _acc(e_terms, axis_index(nv, i), ProdCoef((aC, axis_monomial(nv, i, 2))))
+        _acc(e_terms, (0,) * nv, ProdCoef((aC, axis_monomial(nv, i, 1, 2 * la))))
         # f^(a) = -d_a
-        _acc(f_terms, _unit(nv, i), ProdCoef((ConstCoef(-1.0), bC)))
+        _acc(f_terms, axis_index(nv, i), ProdCoef((ConstCoef(-1.0), bC)))
         # tau_a h^(a) = 2 tau_a (t_a d_a + lam_a)
-        _acc(h_terms, _unit(nv, i), _mono(nv, i, 1, 2 * tau))
+        _acc(h_terms, axis_index(nv, i), axis_monomial(nv, i, 1, 2 * tau))
         _acc(h_terms, (0,) * nv, ConstCoef(2 * tau * la))
 
-    _acc(h_terms, _unit(nv, 0), _mono(nv, 0, 1, 2.0))
+    _acc(h_terms, axis_index(nv, 0), axis_monomial(nv, 0, 1, 2.0))
     if m.elliptic.k != 0:
         k = m.elliptic.k
         dtd = FuncCoef(lambda pt: -2 * k * weierstrass_p(pt[0], p) / pt[0])
@@ -459,9 +455,11 @@ def elliptic_site_operators(m: GaudinModel):
     out = []
     for a, la in enumerate(m.lam):
         i = a + 1
-        e = make_op(vars_, {_unit(nv, i): _mono(nv, i, 2), (0,) * nv: _mono(nv, i, 1, 2 * la)})
-        f = make_op(vars_, {_unit(nv, i): ConstCoef(-1.0)})
-        h = make_op(vars_, {_unit(nv, i): _mono(nv, i, 1, 2.0), (0,) * nv: ConstCoef(2 * la)})
+        e = make_op(vars_, {axis_index(nv, i): axis_monomial(nv, i, 2),
+                            (0,) * nv: axis_monomial(nv, i, 1, 2 * la)})
+        f = make_op(vars_, {axis_index(nv, i): ConstCoef(-1.0)})
+        h = make_op(vars_, {axis_index(nv, i): axis_monomial(nv, i, 1, 2.0),
+                            (0,) * nv: ConstCoef(2 * la)})
         out.append((e, f, h))
     return out
 
@@ -617,8 +615,6 @@ def weight_restricted_monomials(m: GaudinModel, count: int = 4, seed: int = 5,
 def restricted_commutativity_report(m: GaudinModel, pairs=2, tol: float = 1e-8,
                                     seed: int = 17) -> VerificationReport:
     """[density(z), density(z')] on the sum-h-annihilated monomial family."""
-    from .operators import op_commutator
-
     rng = np.random.default_rng(seed)
     p = _params(m)
     worst = 0.0

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iterproduct
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -37,11 +38,51 @@ class OrderCapError(OperatorError):
     pass
 
 
-class SingularPointError(OperatorError):
-    pass
-
-
 # --------------------------------------------------------------- coefficients
+
+
+@lru_cache(maxsize=64)
+def _node_weights(nodes, order):
+    """prod_j rot_j^{order_j} over the trapezoid grid of nodes-th roots of
+    unity, one root per entry of order, first entry slowest."""
+    roots = [cmath.exp(2j * math.pi * k / nodes) for k in range(nodes)]
+    out = []
+    for combo in _iterproduct(roots, repeat=len(order)):
+        w = 1
+        for rot, k in zip(combo, order):
+            w *= rot ** k
+        out.append(w)
+    return tuple(out)
+
+
+def cauchy_derivs(fn, point, active, orders, radius=1e-2, nodes=16):
+    """d^I fn(point) for each I in orders, by trapezoid quadrature of the
+    Cauchy integral over the circles |x_i - point_i| = radius_i, i in active.
+
+    active is an increasing tuple of variable indices; orders a tuple of
+    tuples, one derivative order per active variable; radius a float or a
+    tuple aligned with active.  fn is evaluated once per node of the tensor
+    grid and every order is read off those values.  Spectrally accurate for
+    fn holomorphic on the closed polydisk.
+    """
+    radii = radius if isinstance(radius, tuple) else (radius,) * len(active)
+    roots = _node_weights(nodes, (1,))
+    axes = [(x,) for x in point]
+    for i, r in zip(active, radii):
+        x = point[i]
+        axes[i] = tuple([x + r * rot for rot in roots])
+    vals = [fn(pt) for pt in _iterproduct(*axes)]
+    out = []
+    for I in orders:
+        acc = 0.0 + 0.0j
+        for v, w in zip(vals, _node_weights(nodes, I)):
+            acc += v / w
+        fact, den = 1, nodes ** len(I)
+        for r, k in zip(radii, I):
+            fact *= math.factorial(k)
+            den *= r ** k
+        out.append(acc * fact / den)
+    return out
 
 
 def cauchy_partial(fn, point, i, radius=1e-2, nodes=16):
@@ -49,13 +90,7 @@ def cauchy_partial(fn, point, i, radius=1e-2, nodes=16):
 
     Spectrally accurate for holomorphic fn on the disk |x_i - point_i| <= radius.
     """
-    pt = list(point)
-    acc = 0.0 + 0.0j
-    for k in range(nodes):
-        rot = cmath.exp(2j * math.pi * k / nodes)
-        pt[i] = point[i] + radius * rot
-        acc += fn(tuple(pt)) / rot
-    return acc / (nodes * radius)
+    return cauchy_derivs(fn, point, (i,), ((1,),), (radius,), nodes)[0]
 
 
 class Coefficient:
@@ -222,7 +257,6 @@ def _check_index(I, nvars):
 class DifferentialOperator:
     vars: Tuple[str, ...]
     terms: Mapping[Tuple[int, ...], Coefficient]
-    singular: Tuple[str, ...] = ()
 
     def __post_init__(self):
         for I in self.terms:
@@ -240,8 +274,7 @@ class DifferentialOperator:
         terms = dict(self.terms)
         for I, c in other.terms.items():
             terms[I] = SumCoef((terms[I], c)) if I in terms else c
-        return DifferentialOperator(self.vars, terms,
-                                    tuple(dict.fromkeys(self.singular + other.singular)))
+        return DifferentialOperator(self.vars, terms)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -252,13 +285,12 @@ class DifferentialOperator:
         return DifferentialOperator(
             self.vars,
             {I: ProdCoef((c, t)) for I, t in self.terms.items()},
-            self.singular,
         )
 
     __rmul__ = __mul__
 
 
-def make_op(varnames: Sequence[str], terms: Mapping, singular=()) -> DifferentialOperator:
+def make_op(varnames: Sequence[str], terms: Mapping) -> DifferentialOperator:
     vs = tuple(varnames)
     tidy = {}
     for I, c in terms.items():
@@ -266,7 +298,7 @@ def make_op(varnames: Sequence[str], terms: Mapping, singular=()) -> Differentia
         if _is_zero(c):
             continue
         tidy[tuple(I)] = c
-    return DifferentialOperator(vs, tidy, tuple(singular))
+    return DifferentialOperator(vs, tidy)
 
 
 def zero_op(varnames) -> DifferentialOperator:
@@ -278,12 +310,22 @@ def identity_op(varnames) -> DifferentialOperator:
     return make_op(vs, {(0,) * len(vs): ConstCoef(1.0)})
 
 
+def axis_index(nvars, i, power=1) -> Tuple[int, ...]:
+    """Multi-index with power in slot i and 0 elsewhere."""
+    I = [0] * nvars
+    I[i] = power
+    return tuple(I)
+
+
+def axis_monomial(nvars, i, power=1, scale=1.0) -> Monomial:
+    """scale * x_i^power in nvars variables."""
+    return Monomial(axis_index(nvars, i, power), scale)
+
+
 def d_op(varnames, i, coeff=1.0, power=1) -> DifferentialOperator:
     """coeff * d^power/dx_i^power."""
     vs = tuple(varnames)
-    I = [0] * len(vs)
-    I[i] = power
-    return make_op(vs, {tuple(I): as_coef(coeff)})
+    return make_op(vs, {axis_index(len(vs), i, power): as_coef(coeff)})
 
 
 def _same_vars(A, B):
@@ -322,8 +364,7 @@ def op_compose(A: DifferentialOperator, B: DifferentialOperator,
                 tgt = tuple(k + j for k, j in zip(K, J))
                 out.setdefault(tgt, []).append(coef)
     terms = {I: (cs[0] if len(cs) == 1 else SumCoef(tuple(cs))) for I, cs in out.items()}
-    return DifferentialOperator(A.vars, terms,
-                                tuple(dict.fromkeys(A.singular + B.singular)))
+    return DifferentialOperator(A.vars, terms)
 
 
 def op_commutator(A, B, order_cap: int = ORDER_CAP) -> DifferentialOperator:
@@ -437,11 +478,6 @@ class CoordinateMap:
     inverse: Callable
     jacobian: Callable
     inverse_jacobian: Optional[Callable] = None
-    singular: Tuple[str, ...] = ()
-
-    def condition_number(self, old_pt) -> float:
-        J = np.asarray(self.jacobian(tuple(old_pt)), dtype=complex)
-        return float(np.linalg.cond(J))
 
 
 def fd_jacobian(fn, pt, h=1e-6):
@@ -481,12 +517,8 @@ def op_pullback(A: DifferentialOperator, m: CoordinateMap, new_vars) -> Differen
     # realizations of d/d old_i
     gens = []
     for i in range(n_old):
-        terms = {}
-        for j in range(n_new):
-            I = [0] * n_new
-            I[j] = 1
-            terms[tuple(I)] = entry(j, i)
-        gens.append(make_op(new_vars, terms))
+        gens.append(make_op(new_vars, {axis_index(n_new, j): entry(j, i)
+                                       for j in range(n_new)}))
 
     out = zero_op(new_vars)
     for I, c in A.terms.items():
@@ -501,12 +533,6 @@ def op_pullback(A: DifferentialOperator, m: CoordinateMap, new_vars) -> Differen
     return out
 
 
-def pullback_function(g, m: CoordinateMap) -> FuncCoef:
-    """g on new coordinates, viewed as a function of the old ones."""
-    g = as_coef(g)
-    return FuncCoef(lambda old_pt: g(tuple(m.forward(old_pt))))
-
-
 # --------------------------------------------------- high-order differentiation
 
 
@@ -514,33 +540,23 @@ def polydisk_derivs(fn, point, max_order=2, radius=1e-2, nodes=12):
     """All derivatives d^I fn(point) with |I| <= max_order via tensor Cauchy.
 
     fn only needs to be holomorphic on the closed polydisk of the given radius
-    (per variable; radius may be a sequence).  Cost: nodes^{|I|>0 count} calls
-    per multi-index, fine for |I| <= 2 at desk scale.
+    (per variable; radius may be a sequence).  Multi-indices with the same
+    active variables share one grid of nodes^{active count} calls, fine for
+    |I| <= 2 at desk scale.
     """
     point = tuple(point)
     n = len(point)
     radii = list(radius) if isinstance(radius, (list, tuple)) else [radius] * n
-    out = {}
-    for total in range(max_order + 1):
-        for I in _compositions(total, n):
-            active = [i for i in range(n) if I[i] > 0]
-            if not active:
-                out[I] = complex(fn(point))
-                continue
-            acc = 0.0 + 0.0j
-            for combo in _iterproduct(range(nodes), repeat=len(active)):
-                pt = list(point)
-                weight = 1.0 + 0.0j
-                for i, k in zip(active, combo):
-                    rot = cmath.exp(2j * math.pi * k / nodes)
-                    pt[i] = point[i] + radii[i] * rot
-                    weight *= rot ** I[i] * radii[i] ** I[i]
-                acc += fn(tuple(pt)) / weight
-            fact = 1.0
-            for i in active:
-                fact *= math.factorial(I[i])
-            out[I] = acc * fact / nodes ** len(active)
-    return out
+    index = [I for total in range(max_order + 1) for I in _compositions(total, n)]
+    groups = {}
+    for I in index[1:]:
+        groups.setdefault(tuple(i for i in range(n) if I[i] > 0), []).append(I)
+    out = {index[0]: complex(fn(point))}
+    for active, Is in groups.items():
+        vals = cauchy_derivs(fn, point, active, tuple(tuple(I[i] for i in active) for I in Is),
+                             tuple(radii[i] for i in active), nodes)
+        out.update(zip(Is, vals))
+    return {I: out[I] for I in index}
 
 
 def apply_term_map(term_map: Mapping[Tuple[int, ...], complex],

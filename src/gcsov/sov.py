@@ -39,7 +39,11 @@ from .operators import (
     SumCoef,
     VerificationReport,
     apply_term_map,
+    axis_index,
+    axis_monomial,
+    cauchy_derivs,
     cauchy_partial,
+    coef_derivative,
     eval_terms,
     identity_op,
     make_op,
@@ -63,6 +67,7 @@ from .gaudin import (
     _fit_points,
     _kernel_coef,
     _params,
+    mu_constraints,
     validate_model,
 )
 
@@ -298,8 +303,7 @@ def sov_jacobian_rational(u, m: GaudinModel) -> CoordinateMap:
             J[:, 1 + i] = u_back / (cw_pt[1 + i] - z)
         return J
 
-    return CoordinateMap(forward, inverse, jacobian, inverse_jacobian,
-                         singular=("coinciding roots", "roots at sites"))
+    return CoordinateMap(forward, inverse, jacobian, inverse_jacobian)
 
 
 # ----------------------------------------------------- Radon-transformed sites
@@ -316,21 +320,12 @@ def radon_generators(lam, site: int, n: int, elliptic: bool = False):
     nv = len(vars_)
     off = 1 if elliptic else 0
     i = off + site
-
-    def unit(k, p=1):
-        I = [0] * nv
-        I[k] = p
-        return tuple(I)
-
-    def umono(scale=1.0):
-        e = [0] * nv
-        e[i] = 1
-        return Monomial(tuple(e), scale)
-
     lam = complex(lam)
-    ebar = make_op(vars_, {unit(i, 2): umono(-1.0), unit(i): ConstCoef(-2 * (lam + 1))})
-    fbar = make_op(vars_, {(0,) * nv: umono()})
-    hbar = make_op(vars_, {unit(i): umono(-2.0), (0,) * nv: ConstCoef(-2 * (lam + 1))})
+    ebar = make_op(vars_, {axis_index(nv, i, 2): axis_monomial(nv, i, scale=-1.0),
+                           axis_index(nv, i): ConstCoef(-2 * (lam + 1))})
+    fbar = make_op(vars_, {(0,) * nv: axis_monomial(nv, i)})
+    hbar = make_op(vars_, {axis_index(nv, i): axis_monomial(nv, i, scale=-2.0),
+                           (0,) * nv: ConstCoef(-2 * (lam + 1))})
     return ebar, fbar, hbar
 
 
@@ -355,12 +350,7 @@ def radon_hamiltonians_rational(m: GaudinModel) -> list:
 def _synth_mu_rational(m: GaudinModel, seed: int) -> Tuple[complex, ...]:
     """Random mu projected onto the three admissibility constraints."""
     rng = np.random.default_rng(seed)
-    z = np.array(m.z)
-    lam = np.array(m.lam)
-    A = np.vstack([np.ones(m.N), z, z**2]).astype(complex)
-    b = np.array([0.0,
-                  -(2 * lam * (lam - 1)).sum(),
-                  -(4 * lam * (lam - 1) * z).sum()], dtype=complex)
+    A, b = mu_constraints(m.z, m.lam)
     mu0 = rng.normal(size=m.N) + 1j * rng.normal(size=m.N)
     corr, *_ = np.linalg.lstsq(A, A @ mu0 - b, rcond=None)
     return tuple(mu0 - corr)
@@ -398,23 +388,14 @@ def build_hat_operators_rational(m: GaudinModel, s: SeparatedCoordinates, i: int
 
     cC = [cfun(a) for a in range(nv)]
 
-    def unit(k, p=1):
-        I = [0] * nv
-        I[k] = p
-        return tuple(I)
-
-    def umono(k, scale=1.0):
-        e = [0] * nv
-        e[k] = 1
-        return Monomial(tuple(e), scale)
-
     e_terms, f_parts, h_terms = {}, [], {}
     h0 = []
     for a, la in enumerate(m.lam):
-        e_terms[unit(a, 2)] = ProdCoef((ConstCoef(-1.0), cC[a], umono(a)))
-        e_terms[unit(a)] = ProdCoef((ConstCoef(-2 * (la + 1)), cC[a]))
-        f_parts.append(ProdCoef((cC[a], umono(a))))
-        h_terms[unit(a)] = ProdCoef((ConstCoef(-2.0), cC[a], umono(a)))
+        ua = axis_monomial(nv, a)
+        e_terms[axis_index(nv, a, 2)] = ProdCoef((ConstCoef(-1.0), cC[a], ua))
+        e_terms[axis_index(nv, a)] = ProdCoef((ConstCoef(-2 * (la + 1)), cC[a]))
+        f_parts.append(ProdCoef((cC[a], ua)))
+        h_terms[axis_index(nv, a)] = ProdCoef((ConstCoef(-2.0), cC[a], ua))
         h0.append(ProdCoef((ConstCoef(-2 * (la + 1)), cC[a])))
     h_terms[(0,) * nv] = SumCoef(tuple(h0))
     ehat = DifferentialOperator(vars_, e_terms)
@@ -447,8 +428,7 @@ def separated_operator(m: GaudinModel) -> DifferentialOperator:
                 out -= mu / (w - za) + 2 * la * (la - 1) / (w - za) ** 2
             return out
 
-        return make_op(("w",), {(2,): ConstCoef(2.0), (0,): FuncCoef(pot)},
-                       singular=tuple(str(za) for za in m.z))
+        return make_op(("w",), {(2,): ConstCoef(2.0), (0,): FuncCoef(pot)})
 
     p = _params(m)
     mu0 = m.elliptic.mu0
@@ -464,8 +444,7 @@ def separated_operator(m: GaudinModel) -> DifferentialOperator:
         return out
 
     return make_op(("w",), {(2,): Monomial((2,), 2.0), (1,): Monomial((1,), 2.0),
-                            (0,): FuncCoef(pot)},
-                   singular=tuple(str(za) for za in m.z))
+                            (0,): FuncCoef(pot)})
 
 
 # ----------------------------------------------------- rational verification
@@ -544,9 +523,7 @@ def _assembled_chart_operator(m: GaudinModel, nroots: int, i: int,
             dA.append(ConstCoef(0.0))
     A = FuncCoef(Aval, partials=tuple(dA))
 
-    I1 = [0] * nv
-    I1[1 + i] = 1
-    DplusA = make_op(cw, {tuple(I1): ConstCoef(1.0), (0,) * nv: A})
+    DplusA = make_op(cw, {axis_index(nv, 1 + i): ConstCoef(1.0), (0,) * nv: A})
 
     def scal(pt):
         w = pt[1 + i]
@@ -601,8 +578,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
         rhs_snap[zero] = rhs_snap.get(zero, 0.0) - scal
 
         for f in fns:
-            df = {I: op_apply(make_op(_uvars(m.N), {I: ConstCoef(1.0)}), f, pt)
-                  for I in set(lhs_snap) | set(rhs_snap)}
+            df = {I: coef_derivative(f, I)(pt) for I in set(lhs_snap) | set(rhs_snap)}
             va = apply_term_map(lhs_snap, df)
             vb = apply_term_map(rhs_snap, df)
             worst["a"] = max(worst["a"], abs(va - vb) / (1 + abs(va)))
@@ -622,10 +598,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
                 return _f(tuple(u2))
 
             dchart = cauchy_partial(chart_fn, (w,), 0, radius=1e-2)
-            Wf = sum(uv[a] * c[a]
-                     * op_apply(make_op(_uvars(m.N),
-                                        {tuple(1 if b == a else 0 for b in range(m.N)):
-                                         ConstCoef(1.0)}), f, pt)
+            Wf = sum(uv[a] * c[a] * coef_derivative(f, axis_index(m.N, a))(pt)
                      for a in range(m.N))
             hf = op_apply(hhat, f, pt)
             target = -2.0 * (dchart + Aval * f(pt))
@@ -641,8 +614,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
                              _uvars(m.N))
         pull_snap = eval_terms(pulled, pt)
         for f in fns:
-            df = {I: op_apply(make_op(_uvars(m.N), {I: ConstCoef(1.0)}), f, pt)
-                  for I in set(lhs_snap) | set(pull_snap)}
+            df = {I: coef_derivative(f, I)(pt) for I in set(lhs_snap) | set(pull_snap)}
             va = apply_term_map(lhs_snap, df)
             vd = apply_term_map(pull_snap, df)
             worst["d"] = max(worst["d"], abs(va - vd) / (1 + abs(va)))
@@ -657,8 +629,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
                                                       cmap.jacobian), _uvars(m.N))
                 bad_snap = eval_terms(bad, pt)
                 for f in fns:
-                    df = {I: op_apply(make_op(_uvars(m.N), {I: ConstCoef(1.0)}), f, pt)
-                          for I in set(lhs_snap) | set(bad_snap)}
+                    df = {I: coef_derivative(f, I)(pt) for I in set(lhs_snap) | set(bad_snap)}
                     va = apply_term_map(lhs_snap, df)
                     vb = apply_term_map(bad_snap, df)
                     ctrl[name] = max(ctrl[name], abs(va - vb) / (1 + abs(va)))
@@ -690,6 +661,19 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
 
 
 # -------------------------------------------------------------- elliptic chart
+
+
+_REF = 0  # site whose residue fixes C in the elliptic chart
+
+
+def _abel_power(z, t2, ws, q, tol: float = 1e-6) -> Optional[int]:
+    """Power n with t^2 prod w_i q^n = prod z_a to within tol, or None."""
+    ratio = np.prod(np.array(z)) / (t2 * np.prod(np.array(ws)))
+    mshift = int(round(math.log(abs(ratio)) / math.log(abs(q))))
+    for cand in (mshift, mshift - 1, mshift + 1):
+        if abs(ratio / q**cand - 1.0) < tol:
+            return cand
+    return None
 
 
 def _psi_terms(z_sites, p):
@@ -742,7 +726,6 @@ class EllipticSovFrame:
         self._psi, self._dpsi = _psi_terms(self.z, self.p)
         self._cache = {}
         self.flags: Tuple[str, ...] = ()
-        self.ref = 0
         self._scan(modes, samples)
 
     # --- root scan -----------------------------------------------------------
@@ -785,7 +768,6 @@ class EllipticSovFrame:
         return np.roots(poly), scale
 
     def _scan(self, modes: int, samples: int):
-        q = self.p.q
         N = self.m.N
         rot = 1.0
         found = None
@@ -813,19 +795,12 @@ class EllipticSovFrame:
 
         ws = _sorted_roots(found)
         # push the Abel q-power onto the last root so the constraint is exact
-        ratio = np.prod(np.array(self.z)) / (self.t2 * np.prod(np.array(ws)))
-        mshift = int(round(math.log(abs(ratio)) / math.log(abs(q))))
-        adjusted = None
-        for cand in (mshift, mshift - 1, mshift + 1):
-            if abs(ratio / q**cand - 1.0) < 1e-6:
-                adjusted = cand
-                break
+        shift = _abel_power(self.z, self.t2, ws, self.p.q)
         flags = []
-        if adjusted is None:
+        if shift is None:
             flags.append("abel_mismatch")
-            adjusted = mshift
-        ws[-1] = ws[-1] * q**adjusted
-        self.abel_shift = adjusted
+        else:
+            ws[-1] = ws[-1] * self.p.q**shift
         self.base_w = np.array(ws, dtype=complex)
 
         zscale = 1.0
@@ -835,19 +810,19 @@ class EllipticSovFrame:
         if any(_mult_dist_to_lattice(ws[i] / ws[j], self.p) < 1e-6
                for i in range(N) for j in range(i + 1, N)):
             flags.append("roots_coincide")
-        if abs(self.base_u[self.ref]) < 1e-12 * np.abs(self.base_u).max():
+        if abs(self.base_u[_REF]) < 1e-12 * np.abs(self.base_u).max():
             flags.append("vanishing_reference_residue")
         self.flags = tuple(flags)
         self.base_C = self._residue_C(self.base_w, self.base_u)
 
     def _residue_C(self, ws, uv):
-        num = uv[self.ref]
+        num = uv[_REF]
         for b, zb in enumerate(self.z):
-            if b != self.ref:
-                num *= theta(self.z[self.ref] / zb, self.p)
+            if b != _REF:
+                num *= theta(self.z[_REF] / zb, self.p)
         den = 1.0 + 0.0j
         for wv in ws:
-            den *= theta(self.z[self.ref] / wv, self.p)
+            den *= theta(self.z[_REF] / wv, self.p)
         return num / den
 
     # --- tracking -------------------------------------------------------------
@@ -912,24 +887,16 @@ def elliptic_u_to_w(u, t2, m: GaudinModel, strict: bool = True) -> SeparatedCoor
                                 tuple(frame.base_w), 0, complex(t2), frame.flags)
 
 
-def _abel_exact_roots(s: SeparatedCoordinates, m: GaudinModel, tol: float = 1e-6):
-    q = m.elliptic.q
-    ws = list(s.w)
-    ratio = np.prod(np.array(m.z)) / (complex(s.t2) * np.prod(np.array(ws)))
-    mshift = int(round(math.log(abs(ratio)) / math.log(abs(q))))
-    for cand in (mshift, mshift - 1, mshift + 1):
-        if abs(ratio / q**cand - 1.0) < tol:
-            ws[-1] = ws[-1] * q**cand
-            return ws
-    raise SovError("abel_violation: t^2 prod w != prod z modulo q^Z")
-
-
 def elliptic_w_to_u(s: SeparatedCoordinates, m: GaudinModel) -> UVector:
     """Residues u_a = C prod_i theta(z_a/w_i) / prod_{b!=a} theta(z_a/z_b)."""
     if s.case != "elliptic" or s.t2 is None:
         raise SovError("expected elliptic coordinates with t2")
     p = _params(m)
-    ws = _abel_exact_roots(s, m)
+    shift = _abel_power(m.z, complex(s.t2), s.w, m.elliptic.q)
+    if shift is None:
+        raise SovError("abel_violation: t^2 prod w != prod z modulo q^Z")
+    ws = list(s.w)
+    ws[-1] = ws[-1] * m.elliptic.q**shift
     out = []
     for a, za in enumerate(m.z):
         num = complex(s.C)
@@ -973,10 +940,10 @@ def sov_jacobian_elliptic(u, t2, m: GaudinModel) -> CoordinateMap:
         ws, C = frame.track(inner)
         J = np.zeros((N + 2, N + 1), dtype=complex)
         dlnC = np.zeros(N + 1, dtype=complex)
-        dlnC[frame.ref] = 1.0 / complex(pt[frame.ref])
+        dlnC[_REF] = 1.0 / complex(pt[_REF])
         for j in range(N):
             sc = frame.scalars(j, inner)
-            td_ref = theta_log_deriv(m.z[frame.ref] / ws[j], p)
+            td_ref = theta_log_deriv(m.z[_REF] / ws[j], p)
             dlnw_du = -sc["k"] / sc["S"]
             dlnw_dt = sc["g"] / t2v
             J[1 + j, :N] = ws[j] * dlnw_du
@@ -987,8 +954,7 @@ def sov_jacobian_elliptic(u, t2, m: GaudinModel) -> CoordinateMap:
         J[N + 1, N] = 1.0
         return J
 
-    return CoordinateMap(forward, inverse, jacobian, None,
-                         singular=("roots at sites", "coinciding roots"))
+    return CoordinateMap(forward, inverse, jacobian, None)
 
 
 # -------------------------------------------- elliptic currents, barred side
@@ -1009,16 +975,6 @@ def radon_current_operators(m: GaudinModel, zpt):
     vars_ = _ell_vars(m.N)
     zpt = complex(zpt)
 
-    def unit(k, pw=1):
-        I = [0] * nv
-        I[k] = pw
-        return tuple(I)
-
-    def umono(k, scale=1.0):
-        e = [0] * nv
-        e[k] = 1
-        return Monomial(tuple(e), scale)
-
     e_terms, f_parts, h_terms = {}, [], {}
     h0 = []
     for a, (za, la) in enumerate(zip(m.z, m.lam)):
@@ -1027,12 +983,13 @@ def radon_current_operators(m: GaudinModel, zpt):
         bC = _kernel_coef(ratio, p, nv, inverse=False)
         tau = theta_log_deriv(ratio, p)
         iu = 1 + a
-        e_terms[unit(iu, 2)] = ProdCoef((ConstCoef(-1.0), aC, umono(iu)))
-        e_terms[unit(iu)] = ProdCoef((ConstCoef(-2 * (la + 1)), aC))
-        f_parts.append(ProdCoef((bC, umono(iu))))
-        h_terms[unit(iu)] = umono(iu, -2.0 * tau)
+        ua = axis_monomial(nv, iu)
+        e_terms[axis_index(nv, iu, 2)] = ProdCoef((ConstCoef(-1.0), aC, ua))
+        e_terms[axis_index(nv, iu)] = ProdCoef((ConstCoef(-2 * (la + 1)), aC))
+        f_parts.append(ProdCoef((bC, ua)))
+        h_terms[axis_index(nv, iu)] = axis_monomial(nv, iu, scale=-2.0 * tau)
         h0.append(ConstCoef(-2 * tau * (la + 1)))
-    h_terms[unit(0)] = umono(0, 2.0)
+    h_terms[axis_index(nv, 0)] = axis_monomial(nv, 0, scale=2.0)
     h_terms[(0,) * nv] = SumCoef(tuple(h0))
 
     ebar = DifferentialOperator(vars_, e_terms)
@@ -1067,20 +1024,6 @@ def radon_hamiltonians_elliptic(m: GaudinModel, n_samples: Optional[int] = None,
 # ----------------------------------------------------- elliptic verification
 
 
-def _circle_derivs(fn, pt, i, radius=1e-2, nodes=16):
-    """First and second derivative in variable i from one Cauchy circle."""
-    base = list(pt)
-    acc1 = 0.0 + 0.0j
-    acc2 = 0.0 + 0.0j
-    for k in range(nodes):
-        rot = cmath.exp(2j * math.pi * k / nodes)
-        base[i] = pt[i] + radius * rot
-        v = fn(tuple(base))
-        acc1 += v / rot
-        acc2 += v / rot**2
-    return acc1 / (nodes * radius), 2.0 * acc2 / (nodes * radius**2)
-
-
 def _synth_mu_elliptic(m: GaudinModel, seed: int):
     rng = np.random.default_rng(seed)
     mu = rng.normal(size=m.N) + 1j * rng.normal(size=m.N)
@@ -1089,13 +1032,20 @@ def _synth_mu_elliptic(m: GaudinModel, seed: int):
     return tuple(mu), mu0
 
 
+def _draw_t2(rng, p) -> Optional[complex]:
+    """One torus-parameter candidate t^2 near the unit circle, or None when it
+    falls within 0.15 of the lattice q^Z."""
+    t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi)))
+    return None if _mult_dist_to_lattice(t2, p) < 0.15 else t2
+
+
 def _sample_locus_elliptic(m, rng, tries: int = 100):
     p = _params(m)
     for _ in range(tries):
         uv = rng.normal(size=m.N) + 1j * rng.normal(size=m.N)
         uv /= np.abs(uv).max()
-        t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi)))
-        if _mult_dist_to_lattice(t2, p) < 0.15:
+        t2 = _draw_t2(rng, p)
+        if t2 is None:
             continue
         if np.abs(uv).min() < 0.1:
             continue
@@ -1143,7 +1093,6 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
     Lam = complex((lam + 1).sum())
     rng = np.random.default_rng(seed)
     nv = m.N + 1
-    vars_ = _ell_vars(m.N)
     sgn = -KERNEL_PRODUCT_SIGN  # sign convention of the kernel product law
 
     fit = radon_hamiltonians_elliptic(m)
@@ -1190,10 +1139,9 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
             for s_ in fit_snaps + hH_snaps:
                 keys |= set(s_)
             for b in range(nv):
-                keys.add(tuple(1 if k == b else 0 for k in range(nv)))
-                keys.add(tuple(2 if k == b else 0 for k in range(nv)))
-            return {I: op_apply(make_op(vars_, {I: ConstCoef(1.0)}), f, pt)
-                    for I in keys}
+                keys.add(axis_index(nv, b))
+                keys.add(axis_index(nv, b, 2))
+            return {I: coef_derivative(f, I)(pt) for I in keys}
 
         # ---- (a): term-by-term decomposition on monomial test functions
         for f in fns:
@@ -1204,18 +1152,16 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
             def inner_h(pp, _f=f):
                 ws, _ = frame.track(pp)
                 dd = [theta_log_deriv(ws[i] / za, frame.p) for za in m.z]
-                out = 2 * pp[0] * op_apply(make_op(vars_, {(1,) + (0,) * m.N:
-                                                           ConstCoef(1.0)}), _f, pp)
+                out = 2 * pp[0] * coef_derivative(_f, axis_index(nv, 0))(pp)
                 for b in range(m.N):
-                    I = tuple(1 if k == 1 + b else 0 for k in range(nv))
-                    dfb = op_apply(make_op(vars_, {I: ConstCoef(1.0)}), _f, pp)
+                    dfb = coef_derivative(_f, axis_index(nv, 1 + b))(pp)
                     out += dd[b] * (-2) * (pp[1 + b] * dfb + (lam[b] + 1) * _f(pp))
                 return out
 
             hhf = 2 * t2 * cauchy_partial(inner_h, pt, 0)
             ihf = inner_h(pt)
             for b in range(m.N):
-                d1, _ = _circle_derivs(inner_h, pt, 1 + b)
+                d1 = cauchy_partial(inner_h, pt, 1 + b)
                 hhf += d_a[b] * (-2) * (uv[b] * d1 + (lam[b] + 1) * ihf)
 
             def inner_f(pp, _f=f):
@@ -1226,14 +1172,11 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
 
             eff = 0.0 + 0.0j
             for b in range(m.N):
-                d1, d2 = _circle_derivs(inner_f, pt, 1 + b)
+                d1, d2 = cauchy_derivs(inner_f, pt, (1 + b,), ((1,), (2,)))
                 eff += -kinv_a[b] * (uv[b] * d2 + 2 * (lam[b] + 1) * d1)
             mult0 = complex((uv * k_a).sum())  # ~0 on the locus, kept honestly
-            fe = mult0 * sum(-kinv_a[b] * (uv[b] * df[tuple(2 if k == 1 + b else 0
-                                                            for k in range(nv))]
-                                           + 2 * (lam[b] + 1)
-                                           * df[tuple(1 if k == 1 + b else 0
-                                                      for k in range(nv))])
+            fe = mult0 * sum(-kinv_a[b] * (uv[b] * df[axis_index(nv, 1 + b, 2)]
+                                           + 2 * (lam[b] + 1) * df[axis_index(nv, 1 + b)])
                              for b in range(m.N))
 
             Bf = eff + fe + 0.5 * hhf
@@ -1243,8 +1186,7 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
                                                 for a in range(m.N)) \
                 + sum(p_hat[a] * jp[a] for a in range(m.N))
 
-            du = [df[tuple(1 if k == 1 + b else 0 for k in range(nv))]
-                  for b in range(m.N)]
+            du = [df[axis_index(nv, 1 + b)] for b in range(m.N)]
             t9 = -2 * sum(P_t[a] * uv[a] * du[a] for a in range(m.N))
             t10 = -2 * sum((lam[a] + 1) * P_t[a] for a in range(m.N)) * fval
             t11 = 2 * sum(p_hat[a] * uv[a] * du[a] for a in range(m.N))

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gcsov.cli import CliInputError, default_model, load_model, main
+from gcsov.gaudin import mu_residuals
 
 
 def write_model(tmp_path, payload, name="model.json"):
@@ -63,6 +65,7 @@ def test_load_model_rejects_garbage(tmp_path):
 def test_default_models_are_admissible():
     m = default_model("rational")
     assert m.N == 3 and m.mu is not None
+    assert np.abs(mu_residuals(m.mu, m.z, m.lam)).max() < 1e-12
     e = default_model("elliptic")
     assert e.is_elliptic and abs(sum(e.mu)) < 1e-12
 
@@ -75,6 +78,7 @@ def test_exit_code_three_for_bad_flags(capsys):
     assert main(["spectrum", "--tol", "-1"]) == 3
     assert main(["spectrum", "--case", "elliptic"]) == 3
     assert main(["match", "--case", "elliptic"]) == 3
+    assert main(["spectrum", "--trunc", "5"]) == 3  # theta-eval only
     capsys.readouterr()
 
 
@@ -87,6 +91,13 @@ def test_exit_code_three_for_inadmissible_model(tmp_path, capsys):
     assert main(["identity-suite", "--model", path]) == 3
     err = capsys.readouterr().err
     assert "mu_" in err and "residual" in err
+
+    # q = 0 is no elliptic curve: the nome must satisfy 0 < |q| < 1
+    path = write_model(tmp_path, {"z": [1.0, [0.5, 0.9]], "lambda": [-0.5, -0.5],
+                                  "q": 0.0}, name="q0.json")
+    for sub in ("sov-check", "identity-suite"):
+        assert main([sub, "--case", "elliptic", "--model", path]) == 3
+        assert "bad_nome" in capsys.readouterr().err
 
 
 def test_exit_code_two_when_an_identity_fails(tmp_path, capsys):
@@ -119,6 +130,16 @@ def test_theta_eval_report_layout(tmp_path):
         assert len(mant) == 17
         assert r["anchor"]
     assert doc["all_passed"] is True
+
+
+def test_theta_eval_passes_at_large_nome(tmp_path):
+    # the wp double-pole check must account for the Laurent constant c0(q)
+    path = write_model(tmp_path, {"z": [1.0, [0.5, 0.9]], "lambda": [-0.5, -0.5],
+                                  "q": 0.6})
+    out = tmp_path / "theta.json"
+    assert main(["theta-eval", "--model", path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert all(r["passed"] for r in doc["records"])
 
 
 def test_spectrum_csv_contains_the_singlet_row(tmp_path):

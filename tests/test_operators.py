@@ -12,6 +12,7 @@ from gcsov.operators import (
     Monomial,
     OrderCapError,
     VariableMismatchError,
+    cauchy_derivs,
     cauchy_partial,
     d_op,
     eval_terms,
@@ -209,6 +210,13 @@ def test_cauchy_partial_exponential():
     pt = (0.3 + 0.1j, -0.2 + 0.4j)
     assert cauchy_partial(fn, pt, 0) == pytest.approx(2.0 * fn(pt), rel=1e-11)
     assert cauchy_partial(fn, pt, 1) == pytest.approx(0.5 * fn(pt), rel=1e-11)
+    # one circle yields both orders of x^3 y^2 in x from the same 16 nodes
+    mono = Monomial((3, 2))
+    calls = []
+    d1, d2 = cauchy_derivs(lambda p: calls.append(p) or mono(p), pt, (0,), ((1,), (2,)))
+    assert len(calls) == 16
+    assert d1 == pytest.approx(3 * pt[0] ** 2 * pt[1] ** 2, rel=1e-11)
+    assert d2 == pytest.approx(6 * pt[0] * pt[1] ** 2, rel=1e-9)
 
 
 def test_funccoef_partial_fallback_matches_analytic():

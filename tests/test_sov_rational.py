@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from gcsov.gaudin import make_model
+from gcsov.gaudin import make_model, mu_residuals
 from gcsov.operators import (
     Monomial,
     eval_terms,
@@ -292,6 +292,7 @@ def _admissible_mu(m, seed):
 def test_hat_operator_quadratic_identity_at_locus():
     m = random_model(4, 42)
     m = make_model(m.z, m.lam, mu=_admissible_mu(m, 42))
+    assert np.abs(mu_residuals(m.mu, m.z, m.lam)).max() < 1e-12
     u, s = locus_point(m, 42)
     i = 1
     ehat, fhat, hhat, Lhat = build_hat_operators_rational(m, s, i)
