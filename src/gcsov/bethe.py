@@ -45,7 +45,7 @@ import numpy as np
 
 from .gaudin import GaudinModel, SpectrumResult, _params, mu_residuals, validate_model
 from .operators import VerificationReport
-from .special_functions import _mult_dist_to_lattice, theta, theta_log_deriv, weierstrass_p
+from .special_functions import _log_deriv_and_wp, _mult_dist_to_lattice, theta
 
 log = logging.getLogger(__name__)
 
@@ -302,18 +302,24 @@ def _elliptic_samples(rng, count, m, roots, min_dist=0.08):
     return pts
 
 
-def _elliptic_dpsi_over_psi(w, roots, mu0, mu, m, p):
+def _site_terms(w, m, p):
+    # (tdot, wp)(w / z_a) for every site: independent of roots, mu0 and mu
+    return [_log_deriv_and_wp(w / za, p) for za in m.z]
+
+
+def _elliptic_dpsi_over_psi(w, roots, mu0, mu, m, p, sites=None):
+    """D psi / psi at w; ``sites`` is _site_terms(w, m, p) when precomputed."""
     lam = m.lam
     sig = 0.0 + 0.0j
     sigd = 0.0 + 0.0j  # d sigma / d ln w; tdot' = -wp
     for ai in roots:
-        sig += theta_log_deriv(w * ai, p)
-        sigd -= weierstrass_p(w * ai, p)
+        td, wp = _log_deriv_and_wp(w * ai, p)
+        sig += td
+        sigd -= wp
+    if sites is None:
+        sites = _site_terms(w, m, p)
     pot = complex(mu0)
-    for al in range(m.N):
-        y = w / m.z[al]
-        td = theta_log_deriv(y, p)
-        wp = weierstrass_p(y, p)
+    for al, (td, wp) in enumerate(sites):
         sig -= lam[al] * td
         sigd += lam[al] * wp
         pot += mu[al] * td + 2.0 * lam[al] * (lam[al] + 1.0) * wp
@@ -360,14 +366,21 @@ def verify_separated_solution(sol: SeparatedSolution, m: GaudinModel,
     raise BetheError("unknown_case")
 
 
-def _psi_theta(w, roots, m, p):
+def _site_factors(w, m, p):
     # principal-branch powers; exact for integer lam, and the branch error is
     # precisely what the single-valuedness check is supposed to expose
+    return [theta(w / za, p) ** (-complex(la)) for za, la in zip(m.z, m.lam)]
+
+
+def _psi_theta(w, roots, m, p, sites=None):
+    """psi(w); ``sites`` is _site_factors(w, m, p) when precomputed."""
     val = 1.0 + 0.0j
     for ai in roots:
         val *= theta(w * ai, p)
-    for al in range(m.N):
-        val *= theta(w / m.z[al], p) ** (-complex(m.lam[al]))
+    if sites is None:
+        sites = _site_factors(w, m, p)
+    for f in sites:
+        val *= f
     return val
 
 
@@ -403,6 +416,30 @@ def elliptic_single_valued_check(sol: SeparatedSolution, m: GaudinModel,
 # -------------------------------------------------------------- elliptic solve
 
 
+def _elliptic_residual(m, p, pts, n):
+    """Residual x -> r of bethe_solve_elliptic, x = (a_1..a_n, mu0, mu_1..mu_N).
+
+    r holds D psi / psi at each of pts, sum mu, and psi(q w)/psi(w) at pts[1]
+    minus the same at pts[0].  The site terms at pts and the site factors of
+    psi at pts[0], q pts[0], pts[1] and q pts[1] do not depend on x, so they
+    are evaluated here once; each call evaluates only the root terms.
+    """
+    q = m.elliptic.q
+    sites = [_site_terms(w, m, p) for w in pts]
+    mpts = (q * pts[0], pts[0], q * pts[1], pts[1])
+    facs = [_site_factors(w, m, p) for w in mpts]
+
+    def resid(x):
+        a, mu0, mu = x[:n], x[n], x[n + 1:]
+        r = [_elliptic_dpsi_over_psi(w, a, mu0, mu, m, p, st) for w, st in zip(pts, sites)]
+        r.append(mu.sum())
+        psi = [_psi_theta(w, a, m, p, f) for w, f in zip(mpts, facs)]
+        r.append(psi[2] / psi[3] - psi[0] / psi[1])
+        return np.asarray(r, dtype=complex)
+
+    return resid
+
+
 def bethe_solve_elliptic(m: GaudinModel, n_roots: Optional[int] = None,
                          seeds: int = 40, samples: int = 24,
                          seed: int = 20260814, tol: float = 1e-9):
@@ -412,7 +449,11 @@ def bethe_solve_elliptic(m: GaudinModel, n_roots: Optional[int] = None,
     spread of the quasi-periodicity multiplier between two points.
     Gauss-Newton with a numeric complex Jacobian and backtracking; the
     root count defaults to sum lam (forced by single-valuedness) and must
-    be supplied explicitly when that is not a nonnegative integer.
+    be supplied explicitly when that is not a nonnegative integer.  The
+    site terms tdot(w/z_a), wp(w/z_a) and theta(w/z_a)^(-lam_a) at the fixed
+    points are evaluated once per solve (samples x N fused tdot/wp calls and
+    4 x N theta calls); every residual and Jacobian column recomputes only
+    the terms of the roots.
     """
     if m.elliptic is None:
         raise BetheError("elliptic_case_only")
@@ -424,19 +465,10 @@ def bethe_solve_elliptic(m: GaudinModel, n_roots: Optional[int] = None,
         if abs(nf - n_roots) > 1e-9 or n_roots < 0:
             raise BetheError("root_count_not_determined_by_single_valuedness")
     p = _params(m)
-    q = m.elliptic.q
     rng = np.random.default_rng(seed)
     pts = _elliptic_samples(rng, samples, m, ())
     n, N = n_roots, m.N
-
-    def resid(x):
-        a, mu0, mu = x[:n], x[n], x[n + 1:]
-        r = [_elliptic_dpsi_over_psi(w, a, mu0, mu, m, p) for w in pts]
-        r.append(mu.sum())
-        m0 = _psi_theta(q * pts[0], a, m, p) / _psi_theta(pts[0], a, m, p)
-        m1 = _psi_theta(q * pts[1], a, m, p) / _psi_theta(pts[1], a, m, p)
-        r.append(m1 - m0)
-        return np.asarray(r, dtype=complex)
+    resid = _elliptic_residual(m, p, pts, n)
 
     def jac(x, r0):
         J = np.zeros((r0.size, x.size), dtype=complex)

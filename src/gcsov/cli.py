@@ -376,6 +376,11 @@ def _suite_bethe(cfg: RunConfig):
         for i, sol in enumerate(sols):
             rep = elliptic_single_valued_check(sol, m, tol=max(cfg.tol, 1e-6), seed=cfg.seed)
             recs.append(replace(rep, label=f"bethe-elliptic-solution-{i + 1:02d}"))
+    if not sols:
+        # an empty report would certify nothing, yet pass
+        recs.append(VerificationReport(f"bethe-{cfg.case}-no-solution", 0, float("inf"),
+                                       cfg.tol, cfg.seed,
+                                       anchor=f"solver found no solution (--seeds {cfg.seeds})"))
     return recs, {"solutions": [_solution_payload(s) for s in sols]}
 
 

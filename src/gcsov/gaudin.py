@@ -45,6 +45,7 @@ from .operators import (
 )
 from .special_functions import (
     EllipticParams,
+    _log_deriv_and_wp,
     _mult_dist_to_lattice,
     normalized_lame_kernel,
     theta_log_deriv,
@@ -512,10 +513,10 @@ class DensityFit:
             const = make_op(self.vars_, {(0,) * nv: ConstCoef(cas)})
             self._j_p.append(const - jt)
 
-        tau = np.array([[theta_log_deriv(zj / za, p) for za in self.z_sites]
-                        for zj in self.z_samples])
-        self._pz = np.array([[weierstrass_p(zj / za, p) for za in self.z_sites]
-                             for zj in self.z_samples])
+        vals = [[_log_deriv_and_wp(zj / za, p) for za in self.z_sites]
+                for zj in self.z_samples]
+        tau = np.array([[td for td, _ in row] for row in vals])
+        self._pz = np.array([[wp for _, wp in row] for row in vals])
         self._tau = tau
         self.design = np.hstack([np.ones((n, 1)), tau])
         self.condition = float(np.linalg.cond(self.design))

@@ -54,12 +54,12 @@ from .operators import (
 )
 from .special_functions import (
     KERNEL_PRODUCT_SIGN,
+    _log_deriv_and_wp,
     _mult_dist_to_lattice,
     canonicalize,
     normalized_lame_kernel,
     theta,
     theta_log_deriv,
-    weierstrass_p,
 )
 from .gaudin import (
     DensityFit,
@@ -439,8 +439,9 @@ def separated_operator(m: GaudinModel) -> DifferentialOperator:
         w = pt[0]
         out = -complex(mu0)
         for za, la, mu in zip(m.z, m.lam, m.mu):
-            out -= mu * theta_log_deriv(w / za, p)
-            out -= 2 * la * (la + 1) * weierstrass_p(w / za, p)
+            td, wp = _log_deriv_and_wp(w / za, p)
+            out -= mu * td
+            out -= 2 * la * (la + 1) * wp
         return out
 
     return make_op(("w",), {(2,): Monomial((2,), 2.0), (1,): Monomial((1,), 2.0),
@@ -677,29 +678,31 @@ def _abel_power(z, t2, ws, q, tol: float = 1e-6) -> Optional[int]:
 
 
 def _psi_terms(z_sites, p):
-    def psi(zpt, uv, t2):
+    """Psi(z) = sum_a u_a theta(t2 z/z_a) prod_{b != a} theta(z/z_b).
+
+    psi(z, u, t2) is Psi(z); with deriv=True it returns (Psi(z), Psi'(z)) from
+    the same theta factors.  Each theta(z/z_b) and its log-derivative is
+    evaluated once per point and reused by every term of the sum.
+    """
+    def psi(zpt, uv, t2, deriv=False):
+        th = [theta(zpt / zb, p) for zb in z_sites]
+        ld = [theta_log_deriv(zpt / zb, p) for zb in z_sites] if deriv else None
         total = 0.0 + 0.0j
+        dtotal = 0.0 + 0.0j
         for a, za in enumerate(z_sites):
             term = uv[a] * theta(t2 * zpt / za, p)
-            for b, zb in enumerate(z_sites):
+            logd = theta_log_deriv(t2 * zpt / za, p) if deriv else None
+            for b in range(len(z_sites)):
                 if b != a:
-                    term *= theta(zpt / zb, p)
+                    term *= th[b]
+                    if deriv:
+                        logd += ld[b]
             total += term
-        return total
+            if deriv:
+                dtotal += term * logd
+        return (total, dtotal / zpt) if deriv else total
 
-    def dpsi(zpt, uv, t2):
-        total = 0.0 + 0.0j
-        for a, za in enumerate(z_sites):
-            term = uv[a] * theta(t2 * zpt / za, p)
-            logd = theta_log_deriv(t2 * zpt / za, p)
-            for b, zb in enumerate(z_sites):
-                if b != a:
-                    term *= theta(zpt / zb, p)
-                    logd += theta_log_deriv(zpt / zb, p)
-            total += term * logd
-        return total / zpt
-
-    return psi, dpsi
+    return psi
 
 
 class EllipticSovFrame:
@@ -723,7 +726,7 @@ class EllipticSovFrame:
         if len(self.base_u) != m.N:
             raise SovError("u length does not match the model")
         self.t2 = complex(t2)
-        self._psi, self._dpsi = _psi_terms(self.z, self.p)
+        self._psi = _psi_terms(self.z, self.p)
         self._cache = {}
         self.flags: Tuple[str, ...] = ()
         self._scan(modes, samples)
@@ -732,8 +735,7 @@ class EllipticSovFrame:
 
     def _newton(self, w, uv, t2, iters: int = 40):
         for _ in range(iters):
-            val = self._psi(w, uv, t2)
-            der = self._dpsi(w, uv, t2)
+            val, der = self._psi(w, uv, t2, deriv=True)
             if der == 0:
                 return w, False
             step = val / der
@@ -864,14 +866,15 @@ class EllipticSovFrame:
         p = self.p
         k = np.array([normalized_lame_kernel(t2, w / za, p) for za in self.z])
         kinv = np.array([normalized_lame_kernel(1.0 / t2, w / za, p) for za in self.z])
-        d = np.array([theta_log_deriv(w / za, p) for za in self.z])
+        vals = [_log_deriv_and_wp(w / za, p) for za in self.z]
+        d = np.array([td for td, _ in vals])
+        p_hat = np.array([wp for _, wp in vals])
         mm = np.array([theta_log_deriv(t2 * w / za, p) for za in self.z])
-        p_hat = np.array([weierstrass_p(w / za, p) for za in self.z])
         S = complex((uv * k * (mm - d)).sum())
-        tau_t = theta_log_deriv(t2, p)
+        tau_t, p_t = _log_deriv_and_wp(t2, p)
         g = -complex((uv * k * (mm - tau_t)).sum()) / S
         return {"w": w, "k": k, "kinv": kinv, "d": d, "m": mm, "p_hat": p_hat,
-                "S": S, "g": g, "p_t": weierstrass_p(t2, p), "tau_t": tau_t}
+                "S": S, "g": g, "p_t": p_t, "tau_t": tau_t}
 
 
 def elliptic_u_to_w(u, t2, m: GaudinModel, strict: bool = True) -> SeparatedCoordinates:

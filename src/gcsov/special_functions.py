@@ -18,7 +18,11 @@ fundamental annulus |q| < |z| <= 1 with the quasi-periodicity laws
     thetadot/theta(q z) = thetadot/theta(z) - 1
     p(ln q z)    = p(ln z)
 
-so the truncation error is uniform.  At q = 0 the closed forms
+so the truncation error is uniform.  Each evaluation canonicalizes its point
+once and the pole guard reuses that representative.  thetadot/theta and p
+share one series loop (_log_deriv_and_wp), which callers needing both at one
+point use directly; theta_log_deriv and weierstrass_p each run only their own
+terms of it.  At q = 0 the closed forms
 
     theta = 1 - z,   thetadot/theta = -z/(1-z),   p = z/(1-z)^2
 
@@ -132,15 +136,19 @@ def canonicalize(z, p):
     return AnnulusPoint(z, rep, n, n == 0)
 
 
-def _mult_dist_to_lattice(z, p):
-    """Multiplicative distance min_n |Log(z q^{-n})| from z to q^Z."""
-    a = canonicalize(z, p)
-    if p.q == 0:
-        return abs(cmath.log(a.rep))
+def _lattice_dist(a, p):
+    """Multiplicative distance min_n |Log(z q^{-n})| from a canonicalized point to q^Z."""
     best = abs(cmath.log(a.rep))
+    if p.q == 0:
+        return best
     for m in (-1, 1):
         best = min(best, abs(cmath.log(a.rep * p.q ** (-m))))
     return best
+
+
+def _mult_dist_to_lattice(z, p):
+    """Multiplicative distance min_n |Log(z q^{-n})| from z to q^Z."""
+    return _lattice_dist(canonicalize(z, p), p)
 
 
 def _theta_annulus(z, p):
@@ -154,9 +162,8 @@ def _theta_annulus(z, p):
     return out
 
 
-def theta(z, p):
-    """theta(z) = prod_{i>=0}(1 - q^i z) prod_{i>0}(1 - q^i z^{-1})."""
-    a = canonicalize(z, p)
+def _theta_at(a, p):
+    # theta at a canonicalized point
     if p.q == 0:
         return 1.0 - a.z
     n = a.n
@@ -165,41 +172,50 @@ def theta(z, p):
     return unwind * _theta_annulus(a.rep, p)
 
 
-def theta_log_deriv(z, p):
-    """thetadot/theta(z) = z theta'(z)/theta(z), with fdot = z df/dz."""
+def theta(z, p):
+    """theta(z) = prod_{i>=0}(1 - q^i z) prod_{i>0}(1 - q^i z^{-1})."""
+    return _theta_at(canonicalize(z, p), p)
+
+
+def _log_deriv_and_wp(z, p, log_deriv=True, wp=True):
+    """(thetadot/theta(z), p(ln z)) from one canonicalization and one series.
+
+    Either entry is None when not requested, and its series terms are then
+    skipped, so a caller that needs one value pays for one.  The pole guard
+    raises in the name of the first value requested.
+    """
     a = canonicalize(z, p)
-    if _mult_dist_to_lattice(z, p) < p.pole_tol:
-        raise PoleError(f"theta_log_deriv pole: z = {z} lies on q^Z within tolerance")
-    if p.q == 0:
-        return -a.z / (1.0 - a.z)
-    q = p.q
+    if _lattice_dist(a, p) < p.pole_tol:
+        name = "theta_log_deriv" if log_deriv else "weierstrass_p"
+        raise PoleError(f"{name} pole: z = {z} lies on q^Z within tolerance")
     zt = a.rep
     # thetadot/theta(zt) = -sum_{i>=0} q^i zt/(1-q^i zt) + sum_{i>0} (q^i/zt)/(1-q^i/zt)
-    out = -zt / (1.0 - zt)
+    # p(ln zt) = sum_{i>=0} q^i zt/(1-q^i zt)^2 + sum_{i>0} (q^i/zt)/(1-q^i/zt)^2
+    td = -zt / (1.0 - zt) if log_deriv else None
+    pw = zt / (1.0 - zt) ** 2 if wp else None
+    q = p.q
+    if q == 0:
+        return td, pw
     qi = q
     for _ in range(1, p.trunc + 1):
-        out += -qi * zt / (1.0 - qi * zt) + (qi / zt) / (1.0 - qi / zt)
+        d_in, d_out = 1.0 - qi * zt, 1.0 - qi / zt
+        if log_deriv:
+            td += -qi * zt / d_in + (qi / zt) / d_out
+        if wp:
+            pw += qi * zt / d_in ** 2 + (qi / zt) / d_out ** 2
         qi *= q
-    # quasi-periodicity: each factor of q shifts the value by -1
-    return out - a.n
+    # quasi-periodicity: each factor of q shifts thetadot/theta by -1
+    return (td - a.n if log_deriv else None), pw
+
+
+def theta_log_deriv(z, p):
+    """thetadot/theta(z) = z theta'(z)/theta(z), with fdot = z df/dz."""
+    return _log_deriv_and_wp(z, p, wp=False)[0]
 
 
 def weierstrass_p(z, p):
     """p(ln z) = -(thetadot/theta)dot(z); double pole p(tau) ~ tau^{-2} at q^Z."""
-    a = canonicalize(z, p)
-    if _mult_dist_to_lattice(z, p) < p.pole_tol:
-        raise PoleError(f"weierstrass_p pole: z = {z} lies on q^Z within tolerance")
-    if p.q == 0:
-        return a.z / (1.0 - a.z) ** 2
-    q = p.q
-    zt = a.rep
-    # p(ln z) = sum_{i>=0} q^i z/(1-q^i z)^2 + sum_{i>0} (q^i/z)/(1-q^i/z)^2
-    out = zt / (1.0 - zt) ** 2
-    qi = q
-    for _ in range(1, p.trunc + 1):
-        out += qi * zt / (1.0 - qi * zt) ** 2 + (qi / zt) / (1.0 - qi / zt) ** 2
-        qi *= q
-    return out
+    return _log_deriv_and_wp(z, p, log_deriv=False)[1]
 
 
 def lame_kernel(x, w, p):
@@ -211,11 +227,13 @@ def lame_kernel(x, w, p):
     w = complex(w)
     if x == 0 or w == 0:
         raise DomainError("lame_kernel arguments must be nonzero")
-    if _mult_dist_to_lattice(x, p) < p.pole_tol:
+    ax = canonicalize(x, p)
+    if _lattice_dist(ax, p) < p.pole_tol:
         raise PoleError(f"lame_kernel pole: x = {x} lies on q^Z within tolerance")
-    if _mult_dist_to_lattice(w, p) < p.pole_tol:
+    aw = canonicalize(w, p)
+    if _lattice_dist(aw, p) < p.pole_tol:
         raise PoleError(f"lame_kernel pole: w = {w} lies on q^Z within tolerance")
-    return theta(x * w, p) / (theta(x, p) * theta(w, p))
+    return theta(x * w, p) / (_theta_at(ax, p) * _theta_at(aw, p))
 
 
 @lru_cache(maxsize=256)

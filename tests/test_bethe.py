@@ -3,10 +3,13 @@ import cmath
 import numpy as np
 import pytest
 
+import gcsov.bethe as bethe_mod
 from gcsov.bethe import (
     BetheError,
     SeparatedSolution,
     _elliptic_dpsi_over_psi,
+    _elliptic_residual,
+    _elliptic_samples,
     bethe_equations_rational,
     bethe_solve_elliptic,
     bethe_solve_rational,
@@ -17,9 +20,9 @@ from gcsov.bethe import (
     spectrum_match,
     verify_separated_solution,
 )
-from gcsov.gaudin import SpectrumResult, joint_spectrum, make_model
+from gcsov.gaudin import SpectrumResult, _params, joint_spectrum, make_model
 from gcsov.operators import cauchy_partial
-from gcsov.special_functions import EllipticParams
+from gcsov.special_functions import EllipticParams, theta, theta_log_deriv, weierstrass_p
 
 
 def spin_half_pair():
@@ -223,6 +226,95 @@ def test_elliptic_root_count_needs_integer_weight_sum():
     m = make_model((1.0, 1.4 * cmath.exp(0.9j)), (0.5, 0.7), q=0.05)
     with pytest.raises(BetheError):
         bethe_solve_elliptic(m)
+
+
+def _ref_dpsi_over_psi(w, roots, mu0, mu, m, p):
+    # every special value evaluated in place, kept as the reference
+    lam = m.lam
+    sig = 0.0 + 0.0j
+    sigd = 0.0 + 0.0j
+    for ai in roots:
+        sig += theta_log_deriv(w * ai, p)
+        sigd -= weierstrass_p(w * ai, p)
+    pot = complex(mu0)
+    for al in range(m.N):
+        y = w / m.z[al]
+        td = theta_log_deriv(y, p)
+        wp = weierstrass_p(y, p)
+        sig -= lam[al] * td
+        sigd += lam[al] * wp
+        pot += mu[al] * td + 2.0 * lam[al] * (lam[al] + 1.0) * wp
+    return 2.0 * (sig * sig + sigd) - pot
+
+
+def _ref_psi(w, roots, m, p):
+    val = 1.0 + 0.0j
+    for ai in roots:
+        val *= theta(w * ai, p)
+    for al in range(m.N):
+        val *= theta(w / m.z[al], p) ** (-complex(m.lam[al]))
+    return val
+
+
+def _ref_residual(x, m, p, pts, n):
+    q = m.elliptic.q
+    a, mu0, mu = x[:n], x[n], x[n + 1:]
+    r = [_ref_dpsi_over_psi(w, a, mu0, mu, m, p) for w in pts]
+    r.append(mu.sum())
+    m0 = _ref_psi(q * pts[0], a, m, p) / _ref_psi(pts[0], a, m, p)
+    m1 = _ref_psi(q * pts[1], a, m, p) / _ref_psi(pts[1], a, m, p)
+    r.append(m1 - m0)
+    return np.asarray(r, dtype=complex)
+
+
+@pytest.mark.parametrize("m, n", [
+    (elliptic_pair(), 2),
+    (make_model((1.0, 1.2 * cmath.exp(2.2j), 0.9 * cmath.exp(4.0j)), (1.0, -0.5, 0.5),
+                q=0.2 * cmath.exp(1.1j)), 1),
+])
+def test_hoisted_elliptic_residual_is_bitwise_the_uncached_one(m, n):
+    p = _params(m)
+    rng = np.random.default_rng(5)
+    pts = _elliptic_samples(rng, 24, m, ())
+    resid = _elliptic_residual(m, p, pts, n)
+    for _ in range(6):
+        a0 = np.exp(rng.uniform(-0.5, 0.2, n) + 2j * np.pi * rng.random(n))
+        x = np.concatenate([a0, rng.standard_normal(m.N + 1) + 1j * rng.standard_normal(m.N + 1)])
+        ref = _ref_residual(x, m, p, pts, n)
+        assert np.array_equal(resid(x), ref)
+        a, mu0, mu = x[:n], x[n], x[n + 1:]
+        assert [_elliptic_dpsi_over_psi(w, a, mu0, mu, m, p) for w in pts] == list(ref[:-2])
+
+
+def test_elliptic_solve_evaluates_site_terms_once_per_solve(monkeypatch):
+    # machine-independent cost check: the site terms at the fixed samples are
+    # computed samples x N times per solve, not once per residual
+    m, samples, n = elliptic_pair(), 8, 2
+    seen, fused_args, theta_args = {}, [], []
+
+    def spy_samples(*a, **k):
+        seen["pts"] = _elliptic_samples(*a, **k)
+        return seen["pts"]
+
+    def spy(fn, log):
+        def wrapped(z, *a, **k):
+            log.append(z)
+            return fn(z, *a, **k)
+        return wrapped
+
+    monkeypatch.setattr(bethe_mod, "_elliptic_samples", spy_samples)
+    monkeypatch.setattr(bethe_mod, "_log_deriv_and_wp", spy(bethe_mod._log_deriv_and_wp, fused_args))
+    monkeypatch.setattr(bethe_mod, "theta", spy(bethe_mod.theta, theta_args))
+    bethe_solve_elliptic(m, seeds=1, samples=samples)
+    pts, q = seen["pts"], m.elliptic.q
+    site_args = {w / za for w in pts for za in m.z}
+    site_calls = sum(z in site_args for z in fused_args)
+    assert site_calls == samples * m.N
+    root_calls = len(fused_args) - site_calls
+    # n roots at every sample point, once per residual; dozens of residuals
+    assert root_calls % (samples * n) == 0 and root_calls >= 20 * samples * n
+    factor_args = {w / za for w in (q * pts[0], pts[0], q * pts[1], pts[1]) for za in m.z}
+    assert sum(z in factor_args for z in theta_args) == 4 * m.N
 
 
 def test_small_nome_residual_matches_rational_limit():

@@ -190,6 +190,23 @@ def test_bethe_subcommand_reports_solutions(tmp_path):
     assert all(s["roots"] == [] for s in doc["solutions"])
 
 
+def test_bethe_without_solutions_exits_two(tmp_path):
+    # no restart converges for this one-root elliptic model at this seed
+    path = write_model(tmp_path, {
+        "z": [[1, 0], [0.4358240865605955, -1.1127941027459651],
+              [-0.8764349791771544, -0.1340118163067794]],
+        "lambda": [1.0, -0.5, 0.5],
+        "q": [-0.05330321509111078, -0.03060044874097354],
+    })
+    out = tmp_path / "bethe.json"
+    for argv, case in ((["--case", "elliptic", "--model", path, "--seed", "277866"], "elliptic"),
+                       (["--roots", "2", "--seeds", "1"], "rational")):
+        assert main(["bethe", *argv, "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["solutions"] == [] and doc["all_passed"] is False
+        assert [r["label"] for r in doc["records"]] == [f"bethe-{case}-no-solution"]
+
+
 def test_match_bijects_on_the_default_model(tmp_path):
     out = tmp_path / "match.json"
     assert main(["match", "--out", str(out)]) == 0

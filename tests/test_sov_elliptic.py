@@ -22,6 +22,7 @@ from gcsov.sov import (
     elliptic_w_to_u,
     radon_current_operators,
     radon_hamiltonians_elliptic,
+    _psi_terms,
     separated_operator,
     sov_jacobian_elliptic,
     verify_elliptic_separation,
@@ -45,6 +46,35 @@ T2 = cmath.exp(0.13 + 2.31j)
 
 
 # -------------------------------------------------------------------- the chart
+
+
+def _ref_psi_dpsi(zpt, uv, t2, z_sites, p):
+    # every theta factor evaluated in place, kept as the reference
+    total = dtotal = 0.0 + 0.0j
+    for a, za in enumerate(z_sites):
+        term = uv[a] * theta(t2 * zpt / za, p)
+        logd = theta_log_deriv(t2 * zpt / za, p)
+        for b, zb in enumerate(z_sites):
+            if b != a:
+                term *= theta(zpt / zb, p)
+                logd += theta_log_deriv(zpt / zb, p)
+        total += term
+        dtotal += term * logd
+    return total, dtotal / zpt
+
+
+@pytest.mark.parametrize("n, q", [(2, 0.05), (3, 0.1 + 0.05j), (4, 0.3j)])
+def test_frame_psi_and_derivative_are_bitwise_the_uncached_sums(n, q):
+    m = torus_model(n, q)
+    p = EllipticParams(q=q)
+    psi = _psi_terms(m.z, p)
+    rng = np.random.default_rng(n)
+    uv = generic_u(n, 3)
+    for _ in range(20):
+        zpt = cmath.exp(complex(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * math.pi)))
+        val, der = _ref_psi_dpsi(zpt, uv, T2, m.z, p)
+        assert psi(zpt, uv, T2) == val
+        assert psi(zpt, uv, T2, deriv=True) == (val, der)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.1 + 0.05j])

@@ -12,6 +12,7 @@ from gcsov.special_functions import (
     EllipticParams,
     ParameterError,
     PoleError,
+    _log_deriv_and_wp,
     canonicalize,
     euler_phi,
     lame_kernel,
@@ -319,9 +320,66 @@ def test_pole_errors_multiplicative_window():
             theta_log_deriv(bad, p)
         with pytest.raises(PoleError):
             weierstrass_p(bad, p)
+        for flags in ((True, True), (True, False), (False, True)):
+            with pytest.raises(PoleError):
+                _log_deriv_and_wp(bad, p, *flags)
     with pytest.raises(PoleError):
         lame_kernel(p.q, 0.5, p)
     with pytest.raises(PoleError):
         lame_kernel(0.5, p.q**-2, p)
     # near but not inside the window evaluates to a large finite value
     assert abs(theta_log_deriv(p.q**3 * 1.001, p)) > 100.0
+
+
+# ------------------------------------------------------------ fused tdot / wp
+
+
+def _ref_log_deriv(z, p):
+    # the separate thetadot/theta series, kept as the reference
+    a = canonicalize(z, p)
+    if p.q == 0:
+        return -a.z / (1.0 - a.z)
+    q, zt = p.q, a.rep
+    out = -zt / (1.0 - zt)
+    qi = q
+    for _ in range(1, p.trunc + 1):
+        out += -qi * zt / (1.0 - qi * zt) + (qi / zt) / (1.0 - qi / zt)
+        qi *= q
+    return out - a.n
+
+
+def _ref_wp(z, p):
+    # the separate wp series, kept as the reference
+    a = canonicalize(z, p)
+    if p.q == 0:
+        return a.z / (1.0 - a.z) ** 2
+    q, zt = p.q, a.rep
+    out = zt / (1.0 - zt) ** 2
+    qi = q
+    for _ in range(1, p.trunc + 1):
+        out += qi * zt / (1.0 - qi * zt) ** 2 + (qi / zt) / (1.0 - qi / zt) ** 2
+        qi *= q
+    return out
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.3, 0.2 + 0.1j, -0.45j, 0.6 * cmath.exp(2.0j)])
+def test_fused_log_deriv_and_wp_is_bitwise_the_separate_series(q):
+    from gcsov.special_functions import _mult_dist_to_lattice
+
+    p = EllipticParams(q=q)
+    rng = np.random.default_rng(41)
+    pts = [r * cmath.exp(2j * math.pi * rng.uniform()) for r in rng.uniform(0.05, 8.0, 40)]
+    if q != 0:
+        # exactly on the annulus edges |z| = |q|^n, off the lattice in angle
+        arg = cmath.phase(q)
+        pts += [abs(q) ** n * cmath.exp(1j * (n * arg + phi))
+                for n in (-2, -1, 0, 1, 2, 3) for phi in (0.7, 2.5, -1.9)]
+    pts = [z for z in pts if _mult_dist_to_lattice(z, p) > 1e-3]
+    assert len(pts) >= 30
+    for z in pts:
+        td, wp = _ref_log_deriv(z, p), _ref_wp(z, p)
+        assert _log_deriv_and_wp(z, p) == (td, wp)
+        assert _log_deriv_and_wp(z, p, log_deriv=False) == (None, wp)
+        assert _log_deriv_and_wp(z, p, wp=False) == (td, None)
+        assert theta_log_deriv(z, p) == td
+        assert weierstrass_p(z, p) == wp
