@@ -108,26 +108,25 @@ def mu_from_ansatz_rational(sol: SeparatedSolution, m: GaudinModel) -> Tuple[com
 
 
 def _bethe_residual(a: np.ndarray, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if a.size == 0:
-        return np.zeros(0, dtype=complex)
-    diff = a[:, None] - a[None, :]
-    diff[np.diag_indices(a.size)] = 1.0  # masked below; inf poisons complex powers
+    """Bethe residual of every row of a, shape (rows, n)."""
+    diag = np.arange(a.shape[1])
+    diff = a[:, :, None] - a[:, None, :]
+    diff[:, diag, diag] = 1.0  # masked below; inf poisons complex powers
     inv = 1.0 / diff
-    inv[np.diag_indices(a.size)] = 0.0
-    out = inv.sum(axis=1)
-    out += (s[None, :] / (a[:, None] - z[None, :])).sum(axis=1)
+    inv[:, diag, diag] = 0.0
+    out = inv.sum(axis=2)
+    out += (s / (a[:, :, None] - z)).sum(axis=2)
     return out
 
 
 def _bethe_jacobian(a: np.ndarray, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    diff = a[:, None] - a[None, :]
-    diff[np.diag_indices(a.size)] = 1.0
+    """Jacobian of _bethe_residual for every row of a, shape (rows, n, n)."""
+    diag = np.arange(a.shape[1])
+    diff = a[:, :, None] - a[:, None, :]
+    diff[:, diag, diag] = 1.0
     J = 1.0 / diff**2
-    J[np.diag_indices(a.size)] = 0.0
-    J[np.diag_indices(a.size)] = (
-        -J.sum(axis=1)
-        - (s[None, :] / (a[:, None] - z[None, :]) ** 2).sum(axis=1)
-    )
+    J[:, diag, diag] = 0.0
+    J[:, diag, diag] = -J.sum(axis=2) - (s / (a[:, :, None] - z) ** 2).sum(axis=2)
     return J
 
 
@@ -137,33 +136,63 @@ def bethe_equations_rational(sol: SeparatedSolution, m: GaudinModel) -> np.ndarr
     a = np.asarray(sol.roots, dtype=complex)
     s = np.asarray(sol.exponents, dtype=complex)
     _check_configuration(a, z)
-    return _bethe_residual(a, s, z)
+    return _bethe_residual(a[None, :], s, z)[0]
 
 
-def _newton_bethe(a0, s, z, iters=60, tol=1e-12):
-    a = np.asarray(a0, dtype=complex)
-    with np.errstate(all="ignore"):
-        for _ in range(iters):
-            r = _bethe_residual(a, s, z)
-            if not np.all(np.isfinite(r)):
-                return None
-            rn = float(np.abs(r).max())
-            if rn < tol:
-                return a
+def _solve_rows(J, rhs):
+    """x[k] = J[k]^-1 rhs[k] and a mask of the rows whose J[k] is not singular."""
+    ok = np.ones(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(rhs)
+        for k in range(len(rhs)):
             try:
-                step = np.linalg.solve(_bethe_jacobian(a, s, z), -r)
+                x[k] = np.linalg.solve(J[k], rhs[k])
             except np.linalg.LinAlgError:
-                return None
-            t = 1.0
+                ok[k] = False
+        return x, ok
+
+
+def _newton_rows(a0, s, z, iters=60, tol=1e-12):
+    """Newton with a halving line search, run on every row of a0 at once.
+
+    Each row follows its own iteration exactly as a lone solve would: stop
+    when max |r| < tol, fail on a non-finite start, a singular Jacobian, 14
+    halvings without a decrease of max |r|, or iters steps.  Returns a list
+    with the converged roots of each row, or None where the row failed.
+    """
+    a = np.array(a0, dtype=complex)
+    out = [None] * len(a)
+    rows = np.arange(len(a))
+    with np.errstate(all="ignore"):
+        r = _bethe_residual(a, s, z)
+        for _ in range(iters):
+            rn = np.abs(r).max(axis=1)
+            finite = np.isfinite(r).all(axis=1)
+            done = finite & (rn < tol)
+            for k in np.flatnonzero(done):
+                out[rows[k]] = a[k]
+            live = finite & ~done
+            a, r, rn, rows = a[live], r[live], rn[live], rows[live]
+            if not len(rows):
+                break
+            step, searching = _solve_rows(_bethe_jacobian(a, s, z), -r)
+            moved = np.zeros(len(rows), dtype=bool)
+            t = np.ones(len(rows))
             for _ in range(14):
-                r2 = _bethe_residual(a + t * step, s, z)
-                if np.all(np.isfinite(r2)) and float(np.abs(r2).max()) < rn:
-                    a = a + t * step
+                k = np.flatnonzero(searching)
+                if not len(k):
                     break
-                t *= 0.5
-            else:
-                return None
-    return None
+                trial = a[k] + t[k, None] * step[k]
+                r2 = _bethe_residual(trial, s, z)
+                good = np.isfinite(r2).all(axis=1) & (np.abs(r2).max(axis=1) < rn[k])
+                a[k[good]], r[k[good]] = trial[good], r2[good]
+                moved[k[good]] = True
+                searching[k[good]] = False
+                t[k[~good]] *= 0.5
+            a, r, rows = a[moved], r[moved], rows[moved]
+    return out
 
 
 def _seed_roots(rng, z, n):
@@ -177,10 +206,17 @@ def bethe_solve_rational(m: GaudinModel, n_roots: int, seeds: int = 60,
                          exponents=None, seed: int = 20260814):
     """Newton solves of the Bethe system from random seeds, deduplicated.
 
-    With exponents=None every indicial pattern is tried (2^N, N <= 6).
-    Non-converged seeds are only counted (debug log); roots escaping far
-    outside the site hull are lower-count solutions in disguise and are
-    dropped.  Returns SeparatedSolution objects with mu filled in.
+    With exponents=None every indicial pattern is tried (2^N, N <= 6).  The
+    restarts of one pattern run as one batch: every start is drawn up front
+    from the pattern's rng, in the order a loop over seeds would draw them,
+    and one Newton with a per-row line search and convergence mask iterates
+    the (seeds, n) array with batched residuals, Jacobians and solves (a
+    singular Jacobian fails only its own row).  Each row follows the same
+    arithmetic as a lone solve, and the rows are consumed in seed order, so
+    deduplication is unchanged.  Non-converged seeds are only counted (debug
+    log); roots escaping far outside the site hull are lower-count solutions
+    in disguise and are dropped.  Returns SeparatedSolution objects with mu
+    filled in.
     """
     if m.elliptic is not None:
         raise BetheError("rational_case_only")
@@ -208,8 +244,8 @@ def bethe_solve_rational(m: GaudinModel, n_roots: int, seeds: int = 60,
             found.append(np.zeros(0, dtype=complex))
         else:
             rng = np.random.default_rng(seed)  # same seed per pattern: reproducible
-            for _ in range(seeds):
-                a = _newton_bethe(_seed_roots(rng, z, n_roots), s, z)
+            starts = [_seed_roots(rng, z, n_roots) for _ in range(seeds)]
+            for a in _newton_rows(starts, s, z):
                 if a is None:
                     fails += 1
                     continue

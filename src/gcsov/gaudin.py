@@ -231,19 +231,35 @@ def site_matrices(m: GaudinModel):
     return es, fs, hs
 
 
+def _pair_omega(reps, a, b):
+    """Omega_ab = e_a f_b + f_a e_b + h_a h_b / 2 on the tensor product, a < b.
+
+    Built from the two local factors by kron with identities on the other
+    sites: O(d^2) work and no matrix product.
+    """
+    dims = [r.dim for r in reps]
+    ra, rb = reps[a], reps[b]
+    mid = np.eye(math.prod(dims[a + 1:b]))
+    local = np.kron(np.kron(ra.e, mid), rb.f) + np.kron(np.kron(ra.f, mid), rb.e) \
+        + 0.5 * np.kron(np.kron(ra.h, mid), rb.h)
+    return np.kron(np.kron(np.eye(math.prod(dims[:a])), local), np.eye(math.prod(dims[b + 1:])))
+
+
 def rational_hamiltonians(m: GaudinModel):
-    """L_alpha = 2 sum_{beta != alpha} Omega_{ab}/(z_a - z_b) on the tensor product."""
+    """L_alpha = 2 sum_{beta != alpha} Omega_{ab}/(z_a - z_b) on the tensor product.
+
+    Each Omega_ab is built once per pair a < b and added in place into L_a and
+    L_b, so every L_alpha accumulates its terms in increasing beta order.
+    """
     validate_model(m)
-    es, fs, hs = site_matrices(m)
-    Ls = []
+    reps = [sl2_rep(l) for l in m.lam]
+    d = tensor_dim(m)
+    Ls = [np.zeros((d, d), dtype=complex) for _ in range(m.N)]
     for a in range(m.N):
-        L = np.zeros_like(es[0])
-        for b in range(m.N):
-            if b == a:
-                continue
-            omega = es[a] @ fs[b] + fs[a] @ es[b] + 0.5 * (hs[a] @ hs[b])
-            L += 2.0 * omega / (m.z[a] - m.z[b])
-        Ls.append(L)
+        for b in range(a + 1, m.N):
+            omega2 = 2.0 * _pair_omega(reps, a, b)
+            Ls[a] += omega2 / (m.z[a] - m.z[b])
+            Ls[b] += omega2 / (m.z[b] - m.z[a])
     return Ls
 
 

@@ -495,24 +495,39 @@ def fd_jacobian(fn, pt, h=1e-6):
     return J
 
 
+_PULLBACK_MEMO = 4096  # points per op_pullback memo
+
+
 def op_pullback(A: DifferentialOperator, m: CoordinateMap, new_vars) -> DifferentialOperator:
     """Express A in the new coordinates of m.
 
     First-order generators transform by the Jacobian; higher multi-indices by
     composing the transformed generators (partial derivatives commute, so any
     composition order agrees on test functions).
+
+    Every coefficient of the result reads the old point and the Jacobian at
+    a new point from one memo, so all of them share one m.inverse and one
+    m.jacobian call per node (the memo holds up to _PULLBACK_MEMO points and
+    is then cleared).  This assumes m.inverse and m.jacobian are pure
+    functions of the point.
     """
     new_vars = tuple(new_vars)
     n_old = len(A.vars)
     n_new = len(new_vars)
+    memo = {}
+
+    def chart(new_pt):
+        key = tuple(new_pt)
+        hit = memo.get(key)
+        if hit is None:
+            old_pt = tuple(m.inverse(new_pt))
+            if len(memo) >= _PULLBACK_MEMO:
+                memo.clear()
+            hit = memo[key] = (old_pt, m.jacobian(old_pt))
+        return hit
 
     def entry(j_new, i_old):
-        def fn(new_pt):
-            old_pt = m.inverse(new_pt)
-            J = m.jacobian(tuple(old_pt))
-            return complex(J[j_new][i_old])
-
-        return FuncCoef(fn)
+        return FuncCoef(lambda new_pt: complex(chart(new_pt)[1][j_new][i_old]))
 
     # realizations of d/d old_i
     gens = []
@@ -523,7 +538,7 @@ def op_pullback(A: DifferentialOperator, m: CoordinateMap, new_vars) -> Differen
     out = zero_op(new_vars)
     for I, c in A.terms.items():
         def moved(new_pt, _c=c):
-            return _c(tuple(m.inverse(new_pt)))
+            return _c(chart(new_pt)[0])
 
         piece = identity_op(new_vars)
         for i, k in enumerate(I):

@@ -232,6 +232,7 @@ class _RationalFrame:
         self.base_u = np.array(u0, dtype=complex)
         self.base_w = np.array(w0, dtype=complex)
         self._cache = {}
+        self._dcache = {}
 
     def coeffs(self, uv: np.ndarray) -> np.ndarray:
         return uv @ self.B
@@ -258,11 +259,19 @@ class _RationalFrame:
         return w
 
     def droot(self, pt, i: int) -> np.ndarray:
-        # dw_i/du_b = -prod_{g != b}(w_i - z_g) / P'(w_i)
+        """dw_i/du_b = -prod_{g != b}(w_i - z_g) / P'(w_i), memoised per (pt, i)."""
+        key = (tuple(pt), i)
+        hit = self._dcache.get(key)
+        if hit is not None:
+            return hit
         uv = np.array(pt, dtype=complex)
         w = self.roots(pt)[i]
         dp = np.polyval(np.polyder(self.coeffs(uv)), w)
-        return np.array([-np.polyval(self.B[b], w) / dp for b in range(len(self.z))])
+        out = np.array([-np.polyval(self.B[b], w) / dp for b in range(len(self.z))])
+        if len(self._dcache) > 200000:
+            self._dcache.clear()
+        self._dcache[key] = out
+        return out
 
 
 def sov_jacobian_rational(u, m: GaudinModel) -> CoordinateMap:
@@ -501,11 +510,13 @@ def _chart_vars(nroots: int) -> Tuple[str, ...]:
 
 
 def _assembled_chart_operator(m: GaudinModel, nroots: int, i: int,
-                              casimir_shift: float = 1.0, gauge_sign: float = 1.0):
-    """2 (d/dw_i + A)^2 - sum mu_a c_a - 2 sum lam(lam+shift) c_a^2 on the chart.
+                              casimir_shift: float = 1.0, gauge_sign: float = 1.0,
+                              gauge_shift: float = 1.0):
+    """2 (d/dw_i + A)^2 - sum mu_a c_a - 2 sum lam(lam+shift) c_a^2 on the chart,
+    A = gauge_sign sum (lam_a + gauge_shift)/(w_i - z_a).
 
-    gauge_sign flips A for the planted-defect control; casimir_shift=-1 plants
-    the lam(lam-1) variant.
+    gauge_sign=-1 flips A and gauge_shift=0 plants the off-by-one gauge for
+    the planted-defect control; casimir_shift=-1 plants the lam(lam-1) variant.
     """
     cw = _chart_vars(nroots)
     nv = len(cw)
@@ -513,13 +524,13 @@ def _assembled_chart_operator(m: GaudinModel, nroots: int, i: int,
 
     def Aval(pt):
         w = pt[1 + i]
-        return gauge_sign * sum((la + 1) / (w - za) for la, za in zip(m.lam, z))
+        return gauge_sign * sum((la + gauge_shift) / (w - za) for la, za in zip(m.lam, z))
 
     dA = []
     for k in range(nv):
         if k == 1 + i:
             dA.append(FuncCoef(lambda pt: -gauge_sign * sum(
-                (la + 1) / (pt[1 + i] - za) ** 2 for la, za in zip(m.lam, z))))
+                (la + gauge_shift) / (pt[1 + i] - za) ** 2 for la, za in zip(m.lam, z))))
         else:
             dA.append(ConstCoef(0.0))
     A = FuncCoef(Aval, partials=tuple(dA))
@@ -546,14 +557,21 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
         to the scalar pole terms; (b) fhat annihilates on the locus; (c) the
         chart field sum_a u_a/(w_i - z_a) d/du_a realizes d/dw_i; (d) the
         assembled one-variable form, transported back through the chart,
-        matches Lhat.  Controls plant a flipped gauge sign and the
-        lam(lam-1) double-pole variant; both must fail.
+        matches Lhat.  Controls plant a flipped gauge sign (the off-by-one
+        gauge sum lam_a/(w_i - z_a) when every lam_a = -1, where A vanishes)
+        and the lam(lam-1) double-pole variant; both must fail.
     """
     if m.mu is None:
         m = replace(m, mu=_synth_mu_rational(m, seed))
     validate_model(m)
     rng = np.random.default_rng(seed)
     fns = _int_monomials(m.N, 5, seed + 1)
+    gauge_defect = {"gauge_sign": -1.0}
+    gauge_anchor = "flipped A sign must break the separated form"
+    if all(la + 1 == 0 for la in m.lam):
+        # A = sum (lam_a + 1)/(w - z_a) is identically 0, so its sign plants nothing
+        gauge_defect = {"gauge_shift": 0.0}
+        gauge_anchor = "off-by-one gauge sum lam/(w - z) must break the separated form"
     worst = {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
     ctrl = {"gauge": 0.0, "casimir": 0.0}
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
@@ -622,7 +640,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
             counts["d"] += 1
 
         if include_controls and k == 0:
-            for name, kwargs in (("gauge", {"gauge_sign": -1.0}),
+            for name, kwargs in (("gauge", gauge_defect),
                                  ("casimir", {"casimir_shift": -1.0})):
                 Dbad = _assembled_chart_operator(m, len(s.w), i, **kwargs)
                 bad = op_pullback(Dbad, CoordinateMap(cmap.inverse, cmap.forward,
@@ -650,8 +668,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
     if include_controls:
         out += [
             VerificationReport("rational-control-gauge-sign", len(fns),
-                               ctrl["gauge"], 1e4 * tol, seed,
-                               "flipped A sign must break the separated form",
+                               ctrl["gauge"], 1e4 * tol, seed, gauge_anchor,
                                expect_failure=True),
             VerificationReport("rational-control-casimir-variant", len(fns),
                                ctrl["casimir"], 1e4 * tol, seed,
@@ -1066,6 +1083,19 @@ def _sample_locus_elliptic(m, rng, tries: int = 100):
             for j in range(i + 1, m.N):
                 if _mult_dist_to_lattice(frame.base_w[i] / frame.base_w[j], p) < 0.08:
                     ok = False
+        if not ok:
+            continue
+        # downstream Cauchy circles (radius 1e-2 in u and t^2) move each tracked
+        # root by ~|d ln w_j/d(u, t^2)| r; keep that under 10% of its distance
+        # to the nearest site or root, as the rational sampler does
+        ws = frame.base_w
+        for j, wv in enumerate(ws):
+            sc = frame.scalars(j)
+            grad = np.append(-sc["k"] / sc["S"], sc["g"] / t2)
+            d = min([_mult_dist_to_lattice(wv / ws[b], p) for b in range(m.N) if b != j]
+                    + [_mult_dist_to_lattice(wv / za, p) for za in m.z])
+            if not float(np.linalg.norm(grad)) * 1e-2 / d <= 0.1:  # NaN fails too
+                ok = False
         if ok:
             return frame
     raise SovError("could not sample a well-separated elliptic locus point")

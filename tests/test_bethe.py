@@ -149,6 +149,99 @@ def test_solver_determinism():
     assert r1[0].mu == r2[0].mu
 
 
+def _ref_rational_residual(a, s, z):
+    # one configuration at a time, kept as the reference for the batched form
+    diff = a[:, None] - a[None, :]
+    diff[np.diag_indices(a.size)] = 1.0
+    inv = 1.0 / diff
+    inv[np.diag_indices(a.size)] = 0.0
+    out = inv.sum(axis=1)
+    out += (s[None, :] / (a[:, None] - z[None, :])).sum(axis=1)
+    return out
+
+
+def _ref_rational_jacobian(a, s, z):
+    diff = a[:, None] - a[None, :]
+    diff[np.diag_indices(a.size)] = 1.0
+    J = 1.0 / diff**2
+    J[np.diag_indices(a.size)] = 0.0
+    J[np.diag_indices(a.size)] = (
+        -J.sum(axis=1)
+        - (s[None, :] / (a[:, None] - z[None, :]) ** 2).sum(axis=1)
+    )
+    return J
+
+
+def _ref_newton(a0, s, z, iters=60, tol=1e-12):
+    # one scalar Newton with halving line search per start
+    a = np.asarray(a0, dtype=complex)
+    with np.errstate(all="ignore"):
+        for _ in range(iters):
+            r = _ref_rational_residual(a, s, z)
+            if not np.all(np.isfinite(r)):
+                return None
+            rn = float(np.abs(r).max())
+            if rn < tol:
+                return a
+            try:
+                step = np.linalg.solve(_ref_rational_jacobian(a, s, z), -r)
+            except np.linalg.LinAlgError:
+                return None
+            t = 1.0
+            for _ in range(14):
+                r2 = _ref_rational_residual(a + t * step, s, z)
+                if np.all(np.isfinite(r2)) and float(np.abs(r2).max()) < rn:
+                    a = a + t * step
+                    break
+                t *= 0.5
+            else:
+                return None
+    return None
+
+
+@pytest.mark.parametrize("z, s, n", [
+    ((0.0, 1.0), (-0.5, -0.5), 1),
+    ((0.0, 1.0 + 0.2j, 2.1 - 0.1j, 3.3), (1.5, -0.5, -0.5, -0.5), 2),
+    ((0.0, 1.0 + 0.2j, 2.1 - 0.1j, 3.3), (-0.5, -0.5, -0.5, -0.5), 2),
+    ((0.0, 0.9, 2.2 + 0.3j, 3.1, 4.4 - 0.2j), (-1.0, 2.0, -0.5, -1.0, -0.5), 3),
+    ((0.0, 1.1, 2.0 + 0.2j, 3.2, 4.1 - 0.3j, 5.0), (-0.5,) * 6, 5),
+])
+def test_batched_newton_is_bitwise_the_scalar_one(z, s, n):
+    z, s = np.asarray(z, dtype=complex), np.asarray(s, dtype=complex)
+    rng = np.random.default_rng(11)
+    starts = [bethe_mod._seed_roots(rng, z, n) for _ in range(40)]
+    got = bethe_mod._newton_rows(starts, s, z)
+    assert len(got) == len(starts)
+    for a0, a in zip(starts, got):
+        ref = _ref_newton(a0, s, z)
+        assert (a is None) == (ref is None)
+        if ref is not None:
+            assert a.tobytes() == ref.tobytes()
+    assert sum(a is not None for a in got) >= 5
+
+
+def test_batched_newton_singular_row_fails_alone():
+    # s = (1, 1), z = (1, -1): at a = i the 1x1 Jacobian -sum s/(a - z)^2 is
+    # exactly 0 while the residual is -i, so only that row may fail
+    z, s = np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0], dtype=complex)
+    singular = np.array([1j])
+    r = _ref_rational_residual(singular, s, z)
+    assert np.all(np.isfinite(r)) and abs(r[0]) > 0.5
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(_ref_rational_jacobian(singular, s, z), -r)
+    rng = np.random.default_rng(3)
+    starts = [bethe_mod._seed_roots(rng, z, 1) for _ in range(12)]
+    starts.insert(5, singular)
+    got = bethe_mod._newton_rows(starts, s, z)
+    assert got[5] is None and _ref_newton(singular, s, z) is None
+    for a0, a in zip(starts, got):
+        ref = _ref_newton(a0, s, z)
+        assert (a is None) == (ref is None)
+        if ref is not None:
+            assert a.tobytes() == ref.tobytes()
+    assert sum(a is not None for a in got) >= 6
+
+
 def test_singlet_bijection_two_sites():
     m = spin_half_pair()
     sols = singlet_solutions(m)

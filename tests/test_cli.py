@@ -171,6 +171,34 @@ def test_identity_suite_rational_all_pass(tmp_path):
     assert doc["all_passed"] is True
 
 
+def test_gauge_control_fires_on_all_spin_one_models(tmp_path):
+    # every lam = -1 makes the gauge A = sum (lam+1)/(w-z) vanish, so the
+    # control plants the off-by-one gauge sum lam/(w-z) instead of a sign flip
+    path = write_model(tmp_path, {"z": [0, 1, 2.5], "lambda": [-1, -1, -1]})
+    out = tmp_path / "suite.json"
+    assert main(["identity-suite", "--model", path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    ctrl = [r for r in doc["records"] if r["label"] == "rational-control-gauge-sign"]
+    assert len(ctrl) == 1 and ctrl[0]["passed"] and ctrl[0]["expect_failure"]
+    assert float(ctrl[0]["max_residual"]) >= float(ctrl[0]["tol"]) == 1e4 * 1e-8
+    assert doc["all_passed"] is True
+
+
+def test_elliptic_locus_sampler_keeps_quadrature_in_the_root_basins(tmp_path):
+    # at this seed the sampler used to accept a locus point whose tracked
+    # roots move by ~17% of their separation over a 1e-2 Cauchy circle, and
+    # identities (a) and (d) lost accuracy (4e-6 and 6e-5 against 1e-8)
+    path = write_model(tmp_path, {
+        "z": [1, [-0.9314, 0.1198]], "lambda": [1.5, 1.0], "q": [-0.04422, 0.02334],
+        "mu": [[-0.13505, 0.25683], [0.13505, -0.25683]], "mu0": [0.37726, -0.58587],
+    })
+    out = tmp_path / "ell.json"
+    for sub in ("sov-check", "identity-suite"):
+        assert main([sub, "--case", "elliptic", "--model", path, "--trials", "1",
+                     "--seed", "31549847", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_passed"] is True
+
+
 def test_sov_check_elliptic_smoke(tmp_path):
     out = tmp_path / "ell.json"
     assert main(["sov-check", "--case", "elliptic", "--trials", "1",

@@ -97,6 +97,32 @@ def test_sum_of_hamiltonians_vanishes():
     assert np.abs(sum(Ls)).max() < 1e-14
 
 
+def _ref_rational_hamiltonians(m):
+    # the embedded-site matmul build, kept as the reference for the pairwise one
+    es, fs, hs = site_matrices(m)
+    Ls = []
+    for a in range(m.N):
+        L = np.zeros_like(es[0])
+        for b in range(m.N):
+            if b != a:
+                omega = es[a] @ fs[b] + fs[a] @ es[b] + 0.5 * (hs[a] @ hs[b])
+                L += 2.0 * omega / (m.z[a] - m.z[b])
+        Ls.append(L)
+    return Ls
+
+
+@pytest.mark.parametrize("lam", [(-0.5,) * 8, (-0.5, -1.0, -0.5, -1.0, -1.0, -0.5)])
+def test_pairwise_hamiltonians_are_bitwise_the_matmul_build(lam):
+    rng = np.random.default_rng(4)
+    z = np.cumsum(rng.uniform(0.8, 1.6, len(lam))) + 1j * rng.uniform(-0.3, 0.3, len(lam))
+    m = make_model(tuple(z), lam)
+    got, ref = rational_hamiltonians(m), _ref_rational_hamiltonians(m)
+    assert len(got) == len(ref) == m.N
+    for L, R in zip(got, ref):
+        assert L.shape == R.shape == (tensor_dim(m),) * 2
+        assert L.tobytes() == R.tobytes()
+
+
 def test_two_site_spectrum_frozen_tuples():
     m = make_model([0, 1], [-0.5, -0.5])
     Ls = rational_hamiltonians(m)

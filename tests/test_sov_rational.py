@@ -1,8 +1,10 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
+import gcsov.sov as sov_mod
 from gcsov.gaudin import make_model, mu_residuals
 from gcsov.operators import (
     Monomial,
@@ -345,3 +347,55 @@ def test_verify_rational_separation_larger_models():
                                              include_controls=False)
         assert all(r.passed for r in reports), [
             (r.label, r.max_residual) for r in reports]
+
+
+def test_rational_chain_computes_each_chart_jacobian_and_root_gradient_once(monkeypatch):
+    # machine-independent cost check on one locus point: the pullback asks the
+    # chart for its Jacobian once per distinct quadrature node, and each
+    # frame computes dw_i/du once per (point, root)
+    m = random_model(4, 52)
+    jac_calls, nodes = [], set()
+    chart = sov_mod.sov_jacobian_rational
+
+    def spy_chart(u, m_):
+        cmap = chart(u, m_)
+
+        def inverse_jacobian(cw_pt):
+            jac_calls.append(cw_pt)
+            nodes.add((id(cmap), tuple(cw_pt)))
+            return cmap.inverse_jacobian(cw_pt)
+
+        return dataclasses.replace(cmap, inverse_jacobian=inverse_jacobian)
+
+    # coeffs runs once per roots() miss and once per droot() miss; frames
+    # keeps every frame alive so that the id() in the keys stays unique
+    frames, point_keys, droot_keys, coeff_calls = [], set(), set(), []
+    frame_cls = sov_mod._RationalFrame
+    roots, droot, coeffs = frame_cls.roots, frame_cls.droot, frame_cls.coeffs
+
+    def spy_roots(self, pt):
+        frames.append(self)
+        point_keys.add((id(self), tuple(pt)))
+        return roots(self, pt)
+
+    def spy_droot(self, pt, i):
+        frames.append(self)
+        droot_keys.add((id(self), tuple(pt), i))
+        return droot(self, pt, i)
+
+    def spy_coeffs(self, uv):
+        coeff_calls.append(1)
+        return coeffs(self, uv)
+
+    monkeypatch.setattr(sov_mod, "sov_jacobian_rational", spy_chart)
+    monkeypatch.setattr(frame_cls, "roots", spy_roots)
+    monkeypatch.setattr(frame_cls, "droot", spy_droot)
+    monkeypatch.setattr(frame_cls, "coeffs", spy_coeffs)
+    reports = verify_rational_separation(m, points=1, tol=1e-8, seed=52,
+                                         include_controls=False)
+    assert all(r.passed for r in reports)
+    # 16-node circles in each of the N u-directions around the point
+    assert len(nodes) > m.N * 16
+    assert len(jac_calls) == len(nodes)
+    assert len(droot_keys) > m.N
+    assert len(coeff_calls) == len(point_keys) + len(droot_keys)
