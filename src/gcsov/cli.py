@@ -52,6 +52,7 @@ from .gaudin import (
     model_violations,
     mu_constraints,
     mu_residuals,
+    non_finite_entries,
     rational_matrix_reports,
 )
 from .operators import VerificationReport
@@ -139,6 +140,9 @@ def load_model(path: str) -> GaudinModel:
     q = _cplx(raw["q"], "q") if raw.get("q") is not None else None
     mu0 = _cplx(raw["mu0"], "mu0") if raw.get("mu0") is not None else None
     k = raw.get("k", 0)
+    if isinstance(k, bool) or not (isinstance(k, int)
+                                   or isinstance(k, float) and k.is_integer()):
+        raise CliInputError(f"k: expected an integer, got {k!r}")
     if "N" in raw and raw["N"] != len(z):
         raise CliInputError(f"N = {raw['N']} does not match len(z) = {len(z)}")
     m = make_model(z, lam, mu=mu, q=q, k=k, mu0=mu0)
@@ -155,6 +159,8 @@ _MU_RULE_TEXT = ("sum mu_a = 0",
 
 
 def _violation_detail(name: str, m: GaudinModel) -> str:
+    if name == "non_finite":
+        return f"non_finite ({', '.join(non_finite_entries(m))} not a finite number)"
     if m.mu is not None and name in MU_RULES:
         k = MU_RULES.index(name)
         res = mu_residuals(m.mu, m.z, m.lam)[k]

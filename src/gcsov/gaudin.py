@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .operators import (
     ConstCoef,
@@ -159,8 +158,21 @@ def mu_residuals(mu, z, lam) -> np.ndarray:
     return (np.asarray(mu) * A).sum(axis=1) - b
 
 
+def non_finite_entries(m: GaudinModel) -> list:
+    """Names of the model values that are NaN or infinite, e.g. ["z[2]", "q"]."""
+    named = [(f"z[{i}]", v) for i, v in enumerate(m.z)]
+    named += [(f"lambda[{i}]", v) for i, v in enumerate(m.lam)]
+    named += [(f"mu[{i}]", v) for i, v in enumerate(m.mu or ())]
+    if m.is_elliptic:
+        named += [("q", m.elliptic.q), ("mu0", m.elliptic.mu0)]
+    return [name for name, v in named if v is not None and not cmath.isfinite(v)]
+
+
 def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
-    """Named invariant violations; empty list means the model is admissible."""
+    """Named invariant violations; empty list means the model is admissible.
+
+    A model with a NaN or infinite value gets non_finite and no value check.
+    """
     out = []
     if len(m.z) != len(m.lam):
         out.append("length_mismatch")
@@ -168,6 +180,8 @@ def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
         out.append("too_few_sites")
     if m.mu is not None and len(m.mu) != len(m.z):
         out.append("length_mismatch")
+    if non_finite_entries(m):
+        return sorted(set(out + ["non_finite"]))
 
     if not m.is_elliptic:
         scale = max((abs(a) for a in m.z), default=1.0) or 1.0
@@ -277,8 +291,10 @@ def joint_spectrum(m: GaudinModel, tol: float = 1e-8, seed: int = 0,
     """Joint eigenvalue tuples of {L_alpha} on the singlet sector.
 
     Singlets are the vectors annihilated by the global e, f, h; on that
-    subspace one generic random combination sum c_a L_a is diagonalized and
-    the tuples read off as Rayleigh quotients, with per-tuple residuals.
+    subspace one generic random combination sum c_a L_a is diagonalized by
+    np.linalg.eig (LAPACK geev) and the tuples read off as Rayleigh quotients,
+    with per-tuple residuals.  Each eigenvector is normalised and its phase
+    fixed on its largest full-basis entry.
     """
     d = tensor_dim(m)
     if d > dim_cap:
@@ -296,7 +312,7 @@ def joint_spectrum(m: GaudinModel, tol: float = 1e-8, seed: int = 0,
     Lres = [Q.conj().T @ L @ Q for L in Ls]
     rng = np.random.default_rng(seed)
     c = rng.normal(size=m.N)
-    _, vecs = scipy.linalg.eig(sum(ci * Li for ci, Li in zip(c, Lres)))
+    _, vecs = np.linalg.eig(sum(ci * Li for ci, Li in zip(c, Lres)))
 
     tuples, residuals, cols = [], [], []
     for i in range(vecs.shape[1]):

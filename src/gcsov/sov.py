@@ -226,10 +226,9 @@ class _RationalFrame:
     used for quadrature; no re-sorting happens mid-probe.
     """
 
-    def __init__(self, m: GaudinModel, u0, w0):
+    def __init__(self, m: GaudinModel, w0):
         self.z = np.array(m.z)
         self.B = _basis_polys(self.z)
-        self.base_u = np.array(u0, dtype=complex)
         self.base_w = np.array(w0, dtype=complex)
         self._cache = {}
         self._dcache = {}
@@ -282,9 +281,14 @@ def sov_jacobian_rational(u, m: GaudinModel) -> CoordinateMap:
     P(w_i; u) = 0.  The inverse Jacobian realizes the one-form
     du_a = u_a (dC/C + sum_i dw_i/(w_i - z_a)).
     """
-    uv = _uvals(u)
-    s = rational_u_to_w(uv, m, strict=True)
-    frame = _RationalFrame(m, uv, s.w)
+    s = rational_u_to_w(_uvals(u), m, strict=True)
+    return _rational_chart(m, s, _RationalFrame(m, s.w))
+
+
+def _rational_chart(m: GaudinModel, s: SeparatedCoordinates,
+                    frame: _RationalFrame) -> CoordinateMap:
+    """The chart map of sov_jacobian_rational at strict coordinates s, tracking
+    roots in frame (whose base_w is s.w), so callers can share its caches."""
     z = np.array(m.z)
     nroots = len(s.w)
 
@@ -365,19 +369,20 @@ def _synth_mu_rational(m: GaudinModel, seed: int) -> Tuple[complex, ...]:
     return tuple(mu0 - corr)
 
 
-def build_hat_operators_rational(m: GaudinModel, s: SeparatedCoordinates, i: int):
+def build_hat_operators_rational(m: GaudinModel, s: SeparatedCoordinates, i: int,
+                                 _frame: Optional[_RationalFrame] = None):
     """Hatted operators at the root w_i: (ehat, fhat, hhat, Lhat).
 
     Coefficients 1/(w_i - z_a) are functions of u through the tracked root, so
     compositions differentiate through the locus.  Lhat weights the barred
-    Hamiltonians: Lhat = sum_a (Lbar_a - mu_a)/(w_i - z_a).
+    Hamiltonians: Lhat = sum_a (Lbar_a - mu_a)/(w_i - z_a).  _frame, if given,
+    is a _RationalFrame based at s.w whose root caches are shared.
     """
     if m.mu is None:
         raise SovError("model needs mu for the hatted family")
     if s.case != "rational" or s.flags:
         raise SovError("need strict rational coordinates")
-    u0 = np.array(rational_w_to_u(s, m).u)
-    frame = _RationalFrame(m, u0, s.w)
+    frame = _RationalFrame(m, s.w) if _frame is None else _frame
     vars_ = _uvars(m.N)
     nv = m.N
     z = m.z
@@ -472,6 +477,7 @@ def _int_monomials(nv: int, count: int, seed: int) -> list:
 
 
 def _sample_locus_rational(m, rng, tries: int = 600):
+    """(uv, strict coordinates, root-tracking frame based at their roots)."""
     # separations bound the Cauchy radii used downstream (1e-2 circles)
     zscale = max(1.0, max(abs(v) for v in m.z))
     for _ in range(tries):
@@ -493,15 +499,16 @@ def _sample_locus_rational(m, rng, tries: int = 600):
         # downstream Cauchy circles (radius 1e-2 in u) displace each tracked
         # root by ~|dw_j/du| r; keep that under 10% of its separation basin
         # or the contour derivatives silently cross a branch of w_j(u)
-        J = np.asarray(sov_jacobian_rational(uv, m).jacobian(tuple(uv)))
+        frame = _RationalFrame(m, s.w)
         score = 0.0
         for j, w in enumerate(ws):
             d = min([abs(w - ws[b]) for b in range(len(ws)) if b != j]
                     + [abs(w - za) for za in m.z])
-            score = max(score, float(np.linalg.norm(J[1 + j])) * 1e-2 / d)
+            dw = frame.droot(tuple(uv), j)
+            score = max(score, float(np.linalg.norm(dw)) * 1e-2 / d)
         if score > 0.1:
             continue
-        return uv, s
+        return uv, s, frame
     raise SovError("could not sample a well-separated locus point")
 
 
@@ -578,12 +585,12 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
     z = np.array(m.z)
 
     for k in range(points):
-        uv, s = _sample_locus_rational(m, rng)
+        uv, s, frame = _sample_locus_rational(m, rng)
         i = k % len(s.w) if s.w else 0
         if not s.w:
             raise SovError("model too small: no separated roots (N < 3)")
         pt = tuple(uv)
-        ehat, fhat, hhat, Lhat = build_hat_operators_rational(m, s, i)
+        ehat, fhat, hhat, Lhat = build_hat_operators_rational(m, s, i, _frame=frame)
         w = s.w[i]
         c = 1.0 / (w - z)
         scal = complex((np.array(m.mu) * c).sum()
@@ -626,7 +633,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
             counts["c"] += 1
 
         # (d): assemble on the chart, pull back, compare against Lhat
-        cmap = sov_jacobian_rational(uv, m)
+        cmap = _rational_chart(m, s, frame)
         Dcw = _assembled_chart_operator(m, len(s.w), i)
         pulled = op_pullback(Dcw, CoordinateMap(cmap.inverse, cmap.forward,
                                                 cmap.inverse_jacobian, cmap.jacobian),

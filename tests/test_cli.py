@@ -1,10 +1,14 @@
 """End-to-end checks for the command-line harness."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gcsov
 from gcsov.cli import CliInputError, default_model, load_model, main
 from gcsov.gaudin import mu_residuals
 
@@ -98,6 +102,49 @@ def test_exit_code_three_for_inadmissible_model(tmp_path, capsys):
     for sub in ("sov-check", "identity-suite"):
         assert main([sub, "--case", "elliptic", "--model", path]) == 3
         assert "bad_nome" in capsys.readouterr().err
+
+
+def test_exit_code_three_for_non_finite_model_values(tmp_path, capsys):
+    # json.load reads NaN and Infinity; each must be rejected by name, not
+    # reach a solver (a traceback) or a sum rule (abs(NaN) > tol is False)
+    cases = [
+        ('{"z": [0, 1, NaN], "lambda": [-0.5, -0.5, -1]}', "z[2]",
+         ["spectrum", "match", "identity-suite"]),
+        ('{"z": [1, [0.5, 0.5]], "lambda": [1, NaN], "q": 0.1}', "lambda[1]",
+         ["bethe --case elliptic"]),
+        ('{"z": [0, 1, 2], "lambda": [-0.5, -0.5, -1], "mu": [NaN, 0, 0]}', "mu[0]",
+         ["spectrum", "match", "identity-suite", "sov-check"]),
+        ('{"z": [0, 1, Infinity], "lambda": [-0.5, -0.5, -1]}', "z[2]", ["spectrum"]),
+        ('{"z": [1, [0.5, 0.5]], "lambda": [1, 1], "q": [0.1, NaN]}', "q",
+         ["bethe --case elliptic"]),
+        ('{"z": [1, [0.5, 0.5]], "lambda": [-0.5, -0.5], "q": 0.1, "mu0": -Infinity}',
+         "mu0", ["sov-check --case elliptic"]),
+    ]
+    for k, (text, entry, subs) in enumerate(cases):
+        path = tmp_path / f"nf{k}.json"
+        path.write_text(text)
+        for sub in subs:
+            assert main(sub.split() + ["--model", str(path)]) == 3, (text, sub)
+            err = capsys.readouterr().err
+            assert "non_finite" in err and entry in err, err
+    # k is an integer shift; NaN used to escape as a traceback from int()
+    path = write_model(tmp_path, {"z": [1, [0.5, 0.5]], "lambda": [1, 1], "q": 0.1,
+                                  "k": 0.5}, name="k.json")
+    assert main(["bethe", "--case", "elliptic", "--model", path]) == 3
+    (tmp_path / "k.json").write_text('{"z": [1, [0.5, 0.5]], "lambda": [1, 1], '
+                                     '"q": 0.1, "k": NaN}')
+    assert main(["bethe", "--case", "elliptic", "--model", path]) == 3
+    assert "k: expected an integer" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy stays a test extra
+    code = ("import sys, gcsov.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gcsov.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_two_when_an_identity_fails(tmp_path, capsys):

@@ -80,6 +80,13 @@ def test_model_violations_names():
     m4 = make_model([1.0, 0.05 * 1.0], [-0.5, -0.5], q=0.05)
     assert "sites_not_distinct_mod_q" in model_violations(m4)
     validate_model(make_model([0, 1], [-0.5, -0.5], mu=[3, -3]))
+    nan, inf = float("nan"), float("inf")
+    m5 = make_model([0, 1, inf], [-0.5, -0.5, -1])
+    assert model_violations(m5) == ["non_finite"]  # not sites_not_distinct
+    m6 = make_model([0, 1, 2], [-0.5, -0.5, -1], mu=[nan, 0, 0])
+    assert model_violations(m6) == ["non_finite"]  # NaN passes every mu rule
+    m7 = make_model([1, 0.5j], [1, 1], q=complex(0.1, nan))
+    assert model_violations(m7) == ["non_finite"]
 
 
 def test_singlet_mu_constraints_frozen_example():
@@ -150,6 +157,26 @@ def test_triplet_weight_zero_eigenvalue():
     v[1] = v[2] = 1 / np.sqrt(2)
     assert np.abs(H @ v).max() < 1e-14
     assert np.linalg.norm(L1 @ v - (-1.0) * v) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [(-0.5,) * 8, (-0.5, -1.0, -0.5, -1.0, -0.5, -0.5)])
+def test_joint_spectrum_matches_the_scipy_eig_route(lam, monkeypatch):
+    # independent LAPACK route: the same pipeline with scipy.linalg.eig
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(5)
+    z = np.cumsum(rng.uniform(0.8, 1.6, len(lam))) + 1j * rng.uniform(-0.3, 0.3, len(lam))
+    m = make_model(tuple(z), lam)
+    got = joint_spectrum(m)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eig", scipy_linalg.eig)
+        ref = joint_spectrum(m)
+    assert len(got.eigen_tuples) == len(ref.eigen_tuples) > 1
+    scale = max(abs(v) for mu in ref.eigen_tuples for v in mu)
+    for mu, mu_ref in zip(got.eigen_tuples, ref.eigen_tuples):
+        assert max(abs(a - b) for a, b in zip(mu, mu_ref)) <= 1e-12 * scale
+    assert max(got.residuals) < 1e-10
+    for r, r_ref in zip(got.residuals, ref.residuals):
+        assert abs(r - r_ref) <= 1e-12 * scale
 
 
 def test_three_site_singlet_sector_empty():

@@ -350,15 +350,16 @@ def test_verify_rational_separation_larger_models():
 
 
 def test_rational_chain_computes_each_chart_jacobian_and_root_gradient_once(monkeypatch):
-    # machine-independent cost check on one locus point: the pullback asks the
-    # chart for its Jacobian once per distinct quadrature node, and each
-    # frame computes dw_i/du once per (point, root)
-    m = random_model(4, 52)
+    # machine-independent cost check: the pullback asks the chart for its
+    # Jacobian once per distinct quadrature node, each frame computes dw_i/du
+    # once per (point, root), and the frame the sampler builds for its basin
+    # check also serves the hatted operators and the chart pullback, so each
+    # distinct point of a run is Newton-solved once
     jac_calls, nodes = [], set()
-    chart = sov_mod.sov_jacobian_rational
+    chart = sov_mod._rational_chart
 
-    def spy_chart(u, m_):
-        cmap = chart(u, m_)
+    def spy_chart(m_, s, frame):
+        cmap = chart(m_, s, frame)
 
         def inverse_jacobian(cw_pt):
             jac_calls.append(cw_pt)
@@ -367,35 +368,42 @@ def test_rational_chain_computes_each_chart_jacobian_and_root_gradient_once(monk
 
         return dataclasses.replace(cmap, inverse_jacobian=inverse_jacobian)
 
-    # coeffs runs once per roots() miss and once per droot() miss; frames
-    # keeps every frame alive so that the id() in the keys stays unique
-    frames, point_keys, droot_keys, coeff_calls = [], set(), set(), []
+    # coeffs runs once per roots() miss and once per droot() miss; asked maps
+    # each frame (kept alive, so ids stay unique) to the points it was asked
+    asked, solves, droot_keys, coeff_calls = {}, [], set(), []
     frame_cls = sov_mod._RationalFrame
     roots, droot, coeffs = frame_cls.roots, frame_cls.droot, frame_cls.coeffs
 
     def spy_roots(self, pt):
-        frames.append(self)
-        point_keys.add((id(self), tuple(pt)))
+        if tuple(pt) not in self._cache:
+            solves.append(tuple(pt))
+        asked.setdefault(self, set()).add(tuple(pt))
         return roots(self, pt)
 
     def spy_droot(self, pt, i):
-        frames.append(self)
-        droot_keys.add((id(self), tuple(pt), i))
+        droot_keys.add((self, tuple(pt), i))
         return droot(self, pt, i)
 
     def spy_coeffs(self, uv):
         coeff_calls.append(1)
         return coeffs(self, uv)
 
-    monkeypatch.setattr(sov_mod, "sov_jacobian_rational", spy_chart)
+    monkeypatch.setattr(sov_mod, "_rational_chart", spy_chart)
     monkeypatch.setattr(frame_cls, "roots", spy_roots)
     monkeypatch.setattr(frame_cls, "droot", spy_droot)
     monkeypatch.setattr(frame_cls, "coeffs", spy_coeffs)
-    reports = verify_rational_separation(m, points=1, tol=1e-8, seed=52,
-                                         include_controls=False)
-    assert all(r.passed for r in reports)
-    # 16-node circles in each of the N u-directions around the point
-    assert len(nodes) > m.N * 16
-    assert len(jac_calls) == len(nodes)
-    assert len(droot_keys) > m.N
-    assert len(coeff_calls) == len(point_keys) + len(droot_keys)
+    for m, points, seed in ((random_model(4, 52), 1, 52), (random_model(5, 53), 4, 53)):
+        for log in (jac_calls, nodes, asked, solves, droot_keys, coeff_calls):
+            log.clear()
+        reports = verify_rational_separation(m, points=points, tol=1e-8, seed=seed,
+                                             include_controls=False)
+        assert all(r.passed for r in reports)
+        # 16-node circles in each of the N u-directions around each point
+        assert len(nodes) > points * m.N * 16
+        assert len(jac_calls) == len(nodes)
+        assert len(droot_keys) > m.N
+        assert len(coeff_calls) == len(solves) + len(droot_keys)
+        assert len(solves) == len(set(solves))
+        # a candidate the sampler rejects solves its own base point only, so
+        # the frames probed anywhere else are the ones handed on, one per point
+        assert sum(len(pts) > 1 for pts in asked.values()) == points
