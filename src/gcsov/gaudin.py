@@ -168,6 +168,12 @@ def non_finite_entries(m: GaudinModel) -> list:
     return [name for name, v in named if v is not None and not cmath.isfinite(v)]
 
 
+#: Smallest admissible |q|: the special functions' lattice guard takes the log
+#: of q times a point of |q| < |z| <= 1, which is as small as |q|^2 and must
+#: stay a normal float.
+NOME_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
 def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
     """Named invariant violations; empty list means the model is admissible.
 
@@ -195,11 +201,11 @@ def model_violations(m: GaudinModel, tol: float = 1e-8) -> list:
                        if abs(v) > tol)
     else:
         q = m.elliptic.q
-        if not 0 < abs(q) < 1:
+        if not NOME_FLOOR <= abs(q) < 1:
             out.append("bad_nome")
         if any(zv == 0 for zv in m.z):
             out.append("zero_site")
-        elif abs(q) < 1:
+        elif "bad_nome" not in out:
             p = EllipticParams(q=q)
             for i in range(m.N):
                 for j in range(i + 1, m.N):

@@ -729,17 +729,29 @@ def _psi_terms(z_sites, p):
     return psi
 
 
+#: nodes on the scan circle |z| = sqrt|q|; they sit half a step off the real
+#: axis so that a site at an angle in (2 pi / M) Z, where the factorwise
+#: log-derivatives of Psi have poles, is never a node
+_SCAN_NODES = 64
+
+
 class EllipticSovFrame:
     """Annulus zeros of Phi(z) = sum_a u_a Kn(t^2, z/z_a) and their tracking.
 
-    The scan samples Psi = Phi * theta(t^2) * prod theta(z/z_a) (holomorphic on
-    C^x) on a circle, roots the truncated Laurent polynomial, polishes with
-    Newton, and canonicalizes modulo q.  One root then absorbs the q-power
-    needed to make t^2 prod w_i = prod z_a exact, since the residue formulas
-    for u and C are only consistent for such a representative set.
+    The scan works with Psi = Phi * theta(t^2) * prod theta(z/z_a), holomorphic
+    on C^x.  As theta(qz) = -theta(z)/z, f = Psi'/Psi obeys f(qz) =
+    (f(z) - N/z)/q, so the power sums of the N zeros in r|q| < |z| < r,
+    r = sqrt|q|, need samples on |z| = r only: s_0 = N and s_k = (1 - q^k)
+    (1/2 pi i) oint z^k f dz.  The Hankel pencil (s_{i+j+1}, s_{i+j}) gives N
+    candidates for Newton.  If one zero is lost (one on or near the circle),
+    Abel's relation t^2 prod w_i = prod z_a mod q^Z gives it back; any other
+    shortfall raises root_count_mismatch.  The roots are canonicalized modulo
+    q, and one root then absorbs the q-power that makes the relation exact,
+    since the residue formulas for u and C are only consistent for such a
+    representative set.
     """
 
-    def __init__(self, m: GaudinModel, u, t2, modes: int = 48, samples: int = 256):
+    def __init__(self, m: GaudinModel, u, t2):
         validate_model(GaudinModel(m.z, m.lam, elliptic=m.elliptic))
         if not m.is_elliptic:
             raise SovError("elliptic frame needs a nome")
@@ -753,7 +765,7 @@ class EllipticSovFrame:
         self._psi = _psi_terms(self.z, self.p)
         self._cache = {}
         self.flags: Tuple[str, ...] = ()
-        self._scan(modes, samples)
+        self._scan()
 
     # --- root scan -----------------------------------------------------------
 
@@ -768,58 +780,39 @@ class EllipticSovFrame:
                 return w, True
         return w, abs(self._psi(w, uv, t2)) < 1e-9
 
-    def _seed_candidates(self, modes: int, samples: int, rot: complex, attempt: int):
-        q = self.p.q
-        if abs(q) < 1e-3:
-            # nearly rational: theta -> 1 - z turns Psi into a degree-N
-            # polynomial whose roots seed Newton on the true function
-            z = np.array(self.z)
-            poly = np.zeros(self.m.N + 1, dtype=complex)
-            for a in range(self.m.N):
-                poly += self.base_u[a] * np.poly(
-                    np.append(np.delete(z, a), z[a] / self.t2))
-            nz = np.abs(poly).max()
-            idx = 0
-            while idx < len(poly) - 1 and abs(poly[idx]) <= 1e-11 * nz:
-                idx += 1
-            return np.roots(poly[idx:]), 1.0
-        r0 = math.sqrt(abs(q)) * (1.0 + 0.13 * attempt)
-        ang = np.exp(2j * np.pi * (np.arange(samples) / samples)) * rot
-        vals = np.array([self._psi(r0 * a, self.base_u, self.t2) for a in ang])
-        scale = float(np.abs(vals).max())
-        co = np.fft.fft(vals) / samples
-        idx = np.concatenate([np.arange(0, modes + 1), np.arange(-modes, 0)])
-        lau = {int(k): co[int(k)] / (r0 ** k * rot ** k) for k in idx}
-        poly = np.array([lau.get(k, 0.0) for k in range(modes, -modes - 1, -1)])
-        return np.roots(poly), scale
-
-    def _scan(self, modes: int, samples: int):
-        N = self.m.N
-        rot = 1.0
-        found = None
+    def _scan(self):
+        N, q = self.m.N, self.p.q
+        r = math.sqrt(abs(q))
+        ang = np.exp(2j * np.pi * (np.arange(_SCAN_NODES) + 0.5) / _SCAN_NODES)
+        vals = np.array([self._psi(r * a, self.base_u, self.t2, deriv=True) for a in ang])
+        scale = np.abs(vals[:, 0]).max()
+        zf = r * ang * vals[:, 1] / vals[:, 0]  # z f(z) at the nodes
+        # power sums of the zeros divided by r^k, by the trapezoid rule
+        mom = np.array([N] + [(1 - q**k) * np.mean(ang**k * zf) for k in range(1, 2 * N)])
+        hankel = np.add.outer(np.arange(N), np.arange(N))
+        cands = r * np.linalg.eigvals(np.linalg.solve(mom[hankel], mom[hankel + 1]))
         good = []
-        for attempt in range(4):
-            roots, scale = self._seed_candidates(modes, samples, rot, attempt)
-            good = []
-            for r in roots:
-                if not np.isfinite(r) or r == 0:
-                    continue
-                rep = canonicalize(r, self.p).rep
-                wr, ok = self._newton(rep, self.base_u, self.t2)
-                if not ok or abs(self._psi(wr, self.base_u, self.t2)) > 1e-9 * scale:
-                    continue
-                wr = canonicalize(wr, self.p).rep
-                if any(_mult_dist_to_lattice(wr / g, self.p) < 1e-8 for g in good):
-                    continue
-                good.append(wr)
-            if len(good) == N:
-                found = good
-                break
-            rot = cmath.exp(0.37j * (attempt + 1))
-        if found is None:
-            raise SovError(f"root_count_mismatch: found {len(good)} of {N} annulus zeros")
 
-        ws = _sorted_roots(found)
+        def keep(c):
+            # polish candidate c and keep it if it is a new zero
+            if not np.isfinite(c) or c == 0:
+                return
+            wr, ok = self._newton(canonicalize(c, self.p).rep, self.base_u, self.t2)
+            if not ok or abs(self._psi(wr, self.base_u, self.t2)) > 1e-9 * scale:
+                return
+            wr = canonicalize(wr, self.p).rep
+            if not any(_mult_dist_to_lattice(wr / g, self.p) < 1e-8 for g in good):
+                good.append(wr)
+
+        for c in cands:
+            keep(c)
+        if len(good) == N - 1:
+            keep(np.prod(np.array(self.z)) / (self.t2 * np.prod(np.array(good))))
+        if len(good) != N:
+            raise SovError(f"root_count_mismatch: found {len(good)} of {N} annulus "
+                           f"zeros; winding on |z| = sqrt|q| is {np.mean(zf).real:.3f}")
+
+        ws = _sorted_roots(good)
         # push the Abel q-power onto the last root so the constraint is exact
         shift = _abel_power(self.z, self.t2, ws, self.p.q)
         flags = []
@@ -829,8 +822,7 @@ class EllipticSovFrame:
             ws[-1] = ws[-1] * self.p.q**shift
         self.base_w = np.array(ws, dtype=complex)
 
-        zscale = 1.0
-        if any(_mult_dist_to_lattice(wv / za, self.p) < 1e-6 * zscale
+        if any(_mult_dist_to_lattice(wv / za, self.p) < 1e-6
                for wv in ws for za in self.z):
             flags.append("root_at_site")
         if any(_mult_dist_to_lattice(ws[i] / ws[j], self.p) < 1e-6

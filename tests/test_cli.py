@@ -10,7 +10,7 @@ import pytest
 
 import gcsov
 from gcsov.cli import CliInputError, default_model, load_model, main
-from gcsov.gaudin import mu_residuals
+from gcsov.gaudin import NOME_FLOOR, mu_residuals
 
 
 def write_model(tmp_path, payload, name="model.json"):
@@ -102,6 +102,22 @@ def test_exit_code_three_for_inadmissible_model(tmp_path, capsys):
     for sub in ("sov-check", "identity-suite"):
         assert main([sub, "--case", "elliptic", "--model", path]) == 3
         assert "bad_nome" in capsys.readouterr().err
+
+
+def test_nome_floor(tmp_path, capsys):
+    # below the floor q^2 underflows in the lattice-distance guard, which used
+    # to escape as a math domain error; just above it every run ends in a
+    # documented exit code
+    subs = ["theta-eval", "spectrum", "match", "sov-check --case elliptic",
+            "identity-suite --case elliptic", "bethe --case elliptic --seeds 4"]
+    for q, codes in ((1e-300, {3}), (0.99 * NOME_FLOOR, {3}),
+                     (1.01 * NOME_FLOOR, {0, 2, 3, 4})):
+        path = write_model(tmp_path, {"z": [1, [0.5, 0.5]], "lambda": [1, 1], "q": q})
+        for sub in subs:
+            code = main(sub.split() + ["--trials", "1", "--model", path])
+            err = capsys.readouterr().err
+            assert code in codes, (q, sub, err)
+            assert ("bad_nome" in err) == (q < NOME_FLOOR), (q, sub, err)
 
 
 def test_exit_code_three_for_non_finite_model_values(tmp_path, capsys):

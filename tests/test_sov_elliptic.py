@@ -9,10 +9,12 @@ from gcsov.operators import eval_terms, fd_jacobian
 from gcsov.special_functions import (
     EllipticParams,
     _mult_dist_to_lattice,
+    canonicalize,
     theta,
     theta_log_deriv,
     weierstrass_p,
 )
+import gcsov.sov as sov
 from gcsov.sov import (
     ChartBoundaryError,
     EllipticSovFrame,
@@ -22,7 +24,10 @@ from gcsov.sov import (
     elliptic_w_to_u,
     radon_current_operators,
     radon_hamiltonians_elliptic,
+    _abel_power,
     _psi_terms,
+    _sorted_roots,
+    _SCAN_NODES,
     separated_operator,
     sov_jacobian_elliptic,
     verify_elliptic_separation,
@@ -143,6 +148,128 @@ def test_strict_chart_flags_root_at_site():
         elliptic_u_to_w(u.u, T2, m, strict=True)
     s2 = elliptic_u_to_w(u.u, T2, m, strict=False)
     assert "root_at_site" in s2.flags
+
+
+def _laurent_scan(frame, modes=48, samples=256):
+    """(w, C) by the former chart scan, kept as the reference.
+
+    It roots the degree-2*modes truncated Laurent polynomial of Psi sampled on
+    |z| = sqrt|q| (for |q| < 1e-3, the degree-N polynomial of the q = 0
+    limit instead), Newton-polishes every root, and retries up to four times
+    with a larger radius and a rotated grid until N distinct zeros survive.
+    """
+    N, q, p = frame.m.N, frame.p.q, frame.p
+    uv, t2 = frame.base_u, frame.t2
+    rot = 1.0
+    for attempt in range(4):
+        if abs(q) < 1e-3:
+            z = np.array(frame.z)
+            poly = np.zeros(N + 1, dtype=complex)
+            for a in range(N):
+                poly += uv[a] * np.poly(np.append(np.delete(z, a), z[a] / t2))
+            nz = np.abs(poly).max()
+            idx = 0
+            while idx < len(poly) - 1 and abs(poly[idx]) <= 1e-11 * nz:
+                idx += 1
+            roots, scale = np.roots(poly[idx:]), 1.0
+        else:
+            r0 = math.sqrt(abs(q)) * (1.0 + 0.13 * attempt)
+            ang = np.exp(2j * np.pi * (np.arange(samples) / samples)) * rot
+            vals = np.array([frame._psi(r0 * a, uv, t2) for a in ang])
+            scale = float(np.abs(vals).max())
+            co = np.fft.fft(vals) / samples
+            idx = np.concatenate([np.arange(0, modes + 1), np.arange(-modes, 0)])
+            lau = {int(k): co[int(k)] / (r0 ** k * rot ** k) for k in idx}
+            roots = np.roots(np.array([lau.get(k, 0.0)
+                                       for k in range(modes, -modes - 1, -1)]))
+        good = []
+        for r in roots:
+            if not np.isfinite(r) or r == 0:
+                continue
+            wr, ok = frame._newton(canonicalize(r, p).rep, uv, t2)
+            if not ok or abs(frame._psi(wr, uv, t2)) > 1e-9 * scale:
+                continue
+            wr = canonicalize(wr, p).rep
+            if not any(_mult_dist_to_lattice(wr / g, p) < 1e-8 for g in good):
+                good.append(wr)
+        if len(good) == N:
+            ws = _sorted_roots(good)
+            ws[-1] *= q ** _abel_power(frame.z, t2, ws, q)
+            return ws, frame._residue_C(ws, uv)
+        rot = cmath.exp(0.37j * (attempt + 1))
+    raise AssertionError("reference scan lost a zero")
+
+
+@pytest.mark.parametrize("m", [
+    torus_model(2, 0.05), torus_model(3, 0.1 + 0.05j), torus_model(2, 0.3j),
+    torus_model(3, 1e-5),
+    # a site on the scan circle |z| = sqrt|q|, on the real axis
+    make_model((1.0, 0.5), (-0.5, 1.0), q=0.25),
+], ids=["n2-q0.05", "n3-q0.1+0.05j", "n2-q0.3j", "n3-q1e-5", "site-on-circle"])
+def test_moment_scan_matches_the_laurent_reference(m):
+    n = m.N
+    p = EllipticParams(q=m.elliptic.q)
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi)))
+        frame = EllipticSovFrame(m, generic_u(n, rng.integers(1 << 30)), t2)
+        ws, C = _laurent_scan(frame)
+        for w in ws:
+            assert min(_mult_dist_to_lattice(w / b, p) for b in frame.base_w) < 1e-12
+        assert abs(frame.base_C - C) < 1e-12 * abs(C)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.1 + 0.05j, 0.3j])
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_on_the_scan_circle_is_recovered(n, q):
+    # |w_1| = sqrt|q| puts a zero on the moment contour, which spoils the
+    # moments; Abel's relation must give back the zero the pencil loses
+    m = torus_model(n, q)
+    p = EllipticParams(q=q)
+    rng = np.random.default_rng(17)
+    zprod = np.prod(np.array(m.z))
+    for _ in range(8):
+        t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi)))
+        ws = [math.sqrt(abs(q)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))]
+        ws += [cmath.exp(complex(rng.uniform(math.log(abs(q)), 0),
+                                 rng.uniform(0, 2 * math.pi))) for _ in range(n - 2)]
+        ws.append(zprod / (t2 * np.prod(np.array(ws))))
+        s = SeparatedCoordinates("elliptic", complex(rng.normal(), rng.normal()),
+                                 tuple(ws), 0, t2)
+        frame = EllipticSovFrame(m, elliptic_w_to_u(s, m).u, t2)
+        for w in ws:
+            assert min(_mult_dist_to_lattice(w / b, p) for b in frame.base_w) < 1e-10
+
+
+def test_scan_cost_per_frame(monkeypatch):
+    # the criterion-4 model: one circle of _SCAN_NODES samples and about one
+    # Newton polish per zero, with Abel's completion as the only extra one
+    q = 0.05
+    m = make_model((1.0, 1.1 * cmath.exp(1.3j)), (1.0, 1.0), q=q)
+    calls = {"newton": 0, "psi": 0}
+    newton = EllipticSovFrame._newton
+
+    def counted_newton(self, *args, **kw):
+        calls["newton"] += 1
+        return newton(self, *args, **kw)
+
+    def counted_terms(z, p):
+        psi = _psi_terms(z, p)
+
+        def counted_psi(*args, **kw):
+            calls["psi"] += 1
+            return psi(*args, **kw)
+        return counted_psi
+
+    monkeypatch.setattr(EllipticSovFrame, "_newton", counted_newton)
+    monkeypatch.setattr(sov, "_psi_terms", counted_terms)
+    rng = np.random.default_rng(20260814)
+    for _ in range(20):
+        t2 = cmath.exp(complex(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi)))
+        calls.update(newton=0, psi=0)
+        EllipticSovFrame(m, generic_u(m.N, rng.integers(1 << 30)), t2)
+        assert calls["newton"] <= m.N + 1, calls
+        assert calls["psi"] <= _SCAN_NODES + 10 * (m.N + 1), calls
 
 
 def test_small_nome_matches_rational_limit():
