@@ -106,7 +106,6 @@ def sl2_rep(lam) -> Sl2Rep:
 @dataclass(frozen=True)
 class EllipticData:
     q: complex
-    k: int = 0
     mu0: Optional[complex] = None
 
 
@@ -126,10 +125,10 @@ class GaudinModel:
         return self.elliptic is not None
 
 
-def make_model(z, lam, mu=None, q=None, k=0, mu0=None) -> GaudinModel:
+def make_model(z, lam, mu=None, q=None, mu0=None) -> GaudinModel:
     ell = None
     if q is not None:
-        ell = EllipticData(complex(q), int(k), None if mu0 is None else complex(mu0))
+        ell = EllipticData(complex(q), None if mu0 is None else complex(mu0))
     return GaudinModel(
         tuple(complex(v) for v in z),
         tuple(complex(v) for v in lam),
@@ -442,7 +441,7 @@ def elliptic_current_operators(m: GaudinModel, z):
     """Currents e(z), f(z), h(z) on (tsq, t_1..t_N).
 
     e(z) = sum_a Kn(tsq^{-1}, z/z_a) e^(a), f(z) = sum_a Kn(tsq, z/z_a) f^(a),
-    h(z) = 2 tsq d/dtsq + 2k tdot(tsq) + sum_a tdot(z/z_a) h^(a), with the site
+    h(z) = 2 tsq d/dtsq + sum_a tdot(z/z_a) h^(a), with the site
     generators realized as first-order operators in t_a.
     """
     validate_model(m)
@@ -470,12 +469,6 @@ def elliptic_current_operators(m: GaudinModel, z):
         _acc(h_terms, (0,) * nv, ConstCoef(2 * tau * la))
 
     _acc(h_terms, axis_index(nv, 0), axis_monomial(nv, 0, 1, 2.0))
-    if m.elliptic.k != 0:
-        k = m.elliptic.k
-        dtd = FuncCoef(lambda pt: -2 * k * weierstrass_p(pt[0], p) / pt[0])
-        _acc(h_terms, (0,) * nv,
-             FuncCoef(lambda pt: 2 * k * theta_log_deriv(pt[0], p),
-                      partials=(dtd,) + (ConstCoef(0.0),) * (nv - 1)))
 
     mk = lambda terms: DifferentialOperator(vars_, dict(terms))
     return mk(e_terms), mk(f_terms), mk(h_terms)

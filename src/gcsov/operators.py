@@ -42,46 +42,34 @@ class OrderCapError(OperatorError):
 
 
 @lru_cache(maxsize=64)
-def _node_weights(nodes, order):
-    """prod_j rot_j^{order_j} over the trapezoid grid of nodes-th roots of
-    unity, one root per entry of order, first entry slowest."""
-    roots = [cmath.exp(2j * math.pi * k / nodes) for k in range(nodes)]
-    out = []
-    for combo in _iterproduct(roots, repeat=len(order)):
-        w = 1
-        for rot, k in zip(combo, order):
-            w *= rot ** k
-        out.append(w)
-    return tuple(out)
+def _node_weights(nodes, k):
+    """rot^k for the nodes-th roots of unity rot, in node order."""
+    return tuple(cmath.exp(2j * math.pi * j / nodes) ** k for j in range(nodes))
 
 
-def cauchy_derivs(fn, point, active, orders, radius=1e-2, nodes=16):
-    """d^I fn(point) for each I in orders, by trapezoid quadrature of the
-    Cauchy integral over the circles |x_i - point_i| = radius_i, i in active.
+def cauchy_derivs(fn, point, axes, orders, radius=1e-2, nodes=16):
+    """d^k/ds^k fn(point + s e) at s = 0 for each integer k in orders, where
+    e is the sum of the unit vectors e_i, i in axes.
 
-    active is an increasing tuple of variable indices; orders a tuple of
-    tuples, one derivative order per active variable; radius a float or a
-    tuple aligned with active.  fn is evaluated once per node of the tensor
-    grid and every order is read off those values.  Spectrally accurate for
-    fn holomorphic on the closed polydisk.
+    One trapezoid rule on the circle |s| = radius: at the node rot every
+    coordinate in axes moves to x_i + radius*rot and the others stay, so fn
+    is evaluated nodes times and every order is read off those values.  With
+    axes = (i,) this is the partial d^k/dx_i^k; with axes = (i, j) it is the
+    derivative along e_i + e_j that polydisk_derivs polarizes.  Spectrally
+    accurate for s -> fn(point + s e) holomorphic on |s| <= radius.
     """
-    radii = radius if isinstance(radius, tuple) else (radius,) * len(active)
-    roots = _node_weights(nodes, (1,))
-    axes = [(x,) for x in point]
-    for i, r in zip(active, radii):
-        x = point[i]
-        axes[i] = tuple([x + r * rot for rot in roots])
-    vals = [fn(pt) for pt in _iterproduct(*axes)]
+    vals = []
+    for rot in _node_weights(nodes, 1):
+        pt = list(point)
+        for i in axes:
+            pt[i] = point[i] + radius * rot
+        vals.append(fn(tuple(pt)))
     out = []
-    for I in orders:
+    for k in orders:
         acc = 0.0 + 0.0j
-        for v, w in zip(vals, _node_weights(nodes, I)):
+        for v, w in zip(vals, _node_weights(nodes, k)):
             acc += v / w
-        fact, den = 1, nodes ** len(I)
-        for r, k in zip(radii, I):
-            fact *= math.factorial(k)
-            den *= r ** k
-        out.append(acc * fact / den)
+        out.append(acc * math.factorial(k) / (nodes * radius ** k))
     return out
 
 
@@ -90,7 +78,7 @@ def cauchy_partial(fn, point, i, radius=1e-2, nodes=16):
 
     Spectrally accurate for holomorphic fn on the disk |x_i - point_i| <= radius.
     """
-    return cauchy_derivs(fn, point, (i,), ((1,),), (radius,), nodes)[0]
+    return cauchy_derivs(fn, point, (i,), (1,), radius, nodes)[0]
 
 
 class Coefficient:
@@ -173,8 +161,6 @@ class FuncCoef(Coefficient):
 
     fn: Callable
     partials: Optional[Tuple] = None  # per-variable Coefficient/callable/None
-    radius: float = 1e-2
-    nodes: int = 16
 
     def __call__(self, point):
         return self.fn(point)
@@ -182,9 +168,8 @@ class FuncCoef(Coefficient):
     def partial(self, i):
         if self.partials is not None and self.partials[i] is not None:
             return as_coef(self.partials[i])
-        fn, r, m = self.fn, self.radius, self.nodes
-        return FuncCoef(lambda pt, _i=i: cauchy_partial(fn, pt, _i, r, m),
-                        radius=r, nodes=m)
+        fn = self.fn
+        return FuncCoef(lambda pt, _i=i: cauchy_partial(fn, pt, _i))
 
 
 @dataclass(frozen=True)
@@ -552,26 +537,31 @@ def op_pullback(A: DifferentialOperator, m: CoordinateMap, new_vars) -> Differen
 
 
 def polydisk_derivs(fn, point, max_order=2, radius=1e-2, nodes=12):
-    """All derivatives d^I fn(point) with |I| <= max_order via tensor Cauchy.
+    """All derivatives d^I fn(point) with |I| <= max_order <= 2, each from a
+    one-dimensional Cauchy circle (cauchy_derivs) of the given radius.
 
-    fn only needs to be holomorphic on the closed polydisk of the given radius
-    (per variable; radius may be a sequence).  Multi-indices with the same
-    active variables share one grid of nodes^{active count} calls, fine for
-    |I| <= 2 at desk scale.
+    The circle on axis i gives d_i and d_i^2.  The circle that moves x_i and
+    x_j together gives the second derivative D^2 along e_i + e_j, and
+    polarization gives d_i d_j = (D^2 - d_i^2 - d_j^2) / 2.  For n variables
+    that is 1 + nodes * n (n + 1) / 2 evaluations of fn, which must be
+    holomorphic on the closed polydisk of the given radius.
     """
+    if not 0 <= max_order <= 2:
+        raise OperatorError(f"polydisk_derivs takes max_order 0, 1 or 2, got {max_order}")
     point = tuple(point)
     n = len(point)
-    radii = list(radius) if isinstance(radius, (list, tuple)) else [radius] * n
-    index = [I for total in range(max_order + 1) for I in _compositions(total, n)]
-    groups = {}
-    for I in index[1:]:
-        groups.setdefault(tuple(i for i in range(n) if I[i] > 0), []).append(I)
-    out = {index[0]: complex(fn(point))}
-    for active, Is in groups.items():
-        vals = cauchy_derivs(fn, point, active, tuple(tuple(I[i] for i in active) for I in Is),
-                             tuple(radii[i] for i in active), nodes)
-        out.update(zip(Is, vals))
-    return {I: out[I] for I in index}
+    orders = tuple(range(1, max_order + 1))
+    out = {(0,) * n: complex(fn(point))}
+    for i in range(n):
+        vals = cauchy_derivs(fn, point, (i,), orders, radius, nodes)
+        out.update(zip([axis_index(n, i, k) for k in orders], vals))
+    if max_order == 2:
+        for i in range(n):
+            for j in range(i + 1, n):
+                dvv = cauchy_derivs(fn, point, (i, j), (2,), radius, nodes)[0]
+                mixed = tuple(int(a in (i, j)) for a in range(n))
+                out[mixed] = (dvv - out[axis_index(n, i, 2)] - out[axis_index(n, j, 2)]) / 2
+    return {I: out[I] for total in range(max_order + 1) for I in _compositions(total, n)}
 
 
 def apply_term_map(term_map: Mapping[Tuple[int, ...], complex],

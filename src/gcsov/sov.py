@@ -1204,7 +1204,7 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
 
             eff = 0.0 + 0.0j
             for b in range(m.N):
-                d1, d2 = cauchy_derivs(inner_f, pt, (1 + b,), ((1,), (2,)))
+                d1, d2 = cauchy_derivs(inner_f, pt, (1 + b,), (1, 2))
                 eff += -kinv_a[b] * (uv[b] * d2 + 2 * (lam[b] + 1) * d1)
             mult0 = complex((uv * k_a).sum())  # ~0 on the locus, kept honestly
             fe = mult0 * sum(-kinv_a[b] * (uv[b] * df[axis_index(nv, 1 + b, 2)]

@@ -118,6 +118,36 @@ def test_nome_floor(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in codes, (q, sub, err)
             assert ("bad_nome" in err) == (q < NOME_FLOOR), (q, sub, err)
+            if q > NOME_FLOOR and sub == "theta-eval":
+                assert code == 0, err
+
+
+def test_theta_eval_passes_at_small_nomes(tmp_path):
+    # theta(z)/z reaches about 1/|q| on the sampled annulus, so the
+    # quasi-periodicity and inversion residuals are relative to it; absolute
+    # ones would fail working code from |q| = 1e-12 down to the floor
+    for q in (1e-12, 1e-20, 1e-100, 1.01 * NOME_FLOOR):
+        path = write_model(tmp_path, {"z": [1, [0.5, 0.5]], "lambda": [1, 1], "q": q})
+        out = tmp_path / "theta.json"
+        assert main(["theta-eval", "--model", path, "--out", str(out)]) == 0, q
+        doc = json.loads(out.read_text())
+        assert all(float(r["max_residual"]) < 1e-13 for r in doc["records"][:2]), q
+
+
+def test_twist_k_other_than_zero_is_rejected(tmp_path, capsys):
+    # k would enter only the direct h(z), which no subcommand runs, so every
+    # report would ignore it
+    subs = ["theta-eval", "spectrum", "match", "sov-check --case elliptic",
+            "identity-suite --case elliptic", "bethe --case elliptic"]
+    base = {"z": [1, [0.5, 0.5]], "lambda": [1, 1], "q": 0.1}
+    for k in (1, -2):
+        path = write_model(tmp_path, dict(base, k=k))
+        for sub in subs:
+            assert main(sub.split() + ["--trials", "1", "--model", path]) == 3, (k, sub)
+            assert "k: only k = 0 is supported" in capsys.readouterr().err, (k, sub)
+    for extra in ({}, {"k": 0}, {"k": 0.0}):
+        m = load_model(write_model(tmp_path, dict(base, **extra)))
+        assert m.is_elliptic and m.elliptic.q == 0.1
 
 
 def test_exit_code_three_for_non_finite_model_values(tmp_path, capsys):
