@@ -9,12 +9,13 @@ with -2*lam a nonnegative integer (dim = -2*lam + 1).  The Hamiltonians are
 the residues L_alpha = 2 sum_{beta != alpha} Omega_{alpha beta}/(z_alpha -
 z_beta) of the quadratic current density, acting on the tensor product.
 
-Elliptic case: the currents live on the (N+1)-variable space (tsq, t_1..t_N),
-tsq being the square of the extra torus coordinate.  Kernel coefficients use
-the normalized theta ratio from special_functions, whose two-point product law
-is exact; with the raw ratio every quadratic identity picks up a factor
-phi(q)^4 and the double-pole coefficients of the density stop being the bare
-Casimir constants.
+Elliptic case: the currents live on the (N+1)-variable space (tsq, x_1..x_N),
+tsq being the square of the extra torus coordinate.  current_operators weights
+the direct site generators on t, or the barred ones on u, by kernels in one
+weighted_sum.  Kernel coefficients use the normalized theta ratio from
+special_functions, whose two-point product law is exact; with the raw ratio
+every quadratic identity picks up a factor phi(q)^4 and the double-pole
+coefficients of the density stop being the bare Casimir constants.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .operators import (
     ProdCoef,
     SumCoef,
     VerificationReport,
+    as_coef,
     axis_index,
     axis_monomial,
     eval_terms,
@@ -78,16 +80,20 @@ class Sl2Rep:
     h: np.ndarray
 
 
+def _site_dim(lam) -> int:
+    n2 = -2 * complex(lam)
+    if abs(n2.imag) > 1e-9 or abs(n2.real - round(n2.real)) > 1e-9 or round(n2.real) < 0:
+        raise RepresentationError(f"need -2*lam a nonnegative integer, got lam={lam}")
+    return int(round(n2.real)) + 1
+
+
 def sl2_rep(lam) -> Sl2Rep:
     """Finite-dimensional module on {1, t, ..., t^(-2 lam)}.
 
     f(t^k) = -k t^(k-1), h(t^k) = 2(k+lam) t^k, e(t^k) = (k+2 lam) t^(k+1).
     """
-    n2 = -2 * complex(lam)
-    if abs(n2.imag) > 1e-9 or abs(n2.real - round(n2.real)) > 1e-9 or round(n2.real) < 0:
-        raise RepresentationError(f"need -2*lam a nonnegative integer, got lam={lam}")
+    dim = _site_dim(lam)
     lam = complex(lam).real
-    dim = int(round(n2.real)) + 1
     e = np.zeros((dim, dim), dtype=complex)
     f = np.zeros((dim, dim), dtype=complex)
     h = np.zeros((dim, dim), dtype=complex)
@@ -98,6 +104,16 @@ def sl2_rep(lam) -> Sl2Rep:
         if k >= 1:
             f[k - 1, k] = -k
     return Sl2Rep(lam, dim, e, f, h)
+
+
+def sl2_pairing(x, y, mul=op_compose):
+    """The invariant pairing e_x f_y + f_x e_y + h_x h_y / 2 of two triples.
+
+    x and y are (e, f, h) triples and mul(a, b) is their product: operator
+    composition by default, or a matrix product.  pairing(x, x) is the
+    quadratic Casimir form e f + f e + h^2/2 of the triple x.
+    """
+    return mul(x[0], y[1]) + mul(x[1], y[0]) + 0.5 * mul(x[2], y[2])
 
 
 # --------------------------------------------------------------------- models
@@ -227,9 +243,18 @@ def validate_model(m: GaudinModel, tol: float = 1e-8) -> None:
 
 
 def tensor_dim(m: GaudinModel) -> int:
-    d = 1
-    for lam in m.lam:
-        d *= sl2_rep(lam).dim
+    return math.prod(_site_dim(lam) for lam in m.lam)
+
+
+#: Largest tensor dimension for which dense rational matrices are built; a
+#: d x d complex matrix at the cap takes 268 MB.
+DIM_CAP = 4096
+
+
+def _capped_dim(m: GaudinModel) -> int:
+    d = tensor_dim(m)
+    if d > DIM_CAP:
+        raise DimensionCapError(f"tensor dimension {d} exceeds cap {DIM_CAP}")
     return d
 
 
@@ -242,6 +267,7 @@ def _embed(mat, site, dims):
 
 def site_matrices(m: GaudinModel):
     """Per-site e, f, h acting on the full tensor product."""
+    _capped_dim(m)
     reps = [sl2_rep(l) for l in m.lam]
     dims = [r.dim for r in reps]
     es = [_embed(r.e, i, dims) for i, r in enumerate(reps)]
@@ -259,8 +285,8 @@ def _pair_omega(reps, a, b):
     dims = [r.dim for r in reps]
     ra, rb = reps[a], reps[b]
     mid = np.eye(math.prod(dims[a + 1:b]))
-    local = np.kron(np.kron(ra.e, mid), rb.f) + np.kron(np.kron(ra.f, mid), rb.e) \
-        + 0.5 * np.kron(np.kron(ra.h, mid), rb.h)
+    local = sl2_pairing((ra.e, ra.f, ra.h), (rb.e, rb.f, rb.h),
+                        lambda x, y: np.kron(np.kron(x, mid), y))
     return np.kron(np.kron(np.eye(math.prod(dims[:a])), local), np.eye(math.prod(dims[b + 1:])))
 
 
@@ -271,8 +297,8 @@ def rational_hamiltonians(m: GaudinModel):
     L_b, so every L_alpha accumulates its terms in increasing beta order.
     """
     validate_model(m)
+    d = _capped_dim(m)
     reps = [sl2_rep(l) for l in m.lam]
-    d = tensor_dim(m)
     Ls = [np.zeros((d, d), dtype=complex) for _ in range(m.N)]
     for a in range(m.N):
         for b in range(a + 1, m.N):
@@ -291,20 +317,18 @@ class SpectrumResult:
     ill_conditioned: bool = False
 
 
-def joint_spectrum(m: GaudinModel, tol: float = 1e-8, seed: int = 0,
-                   dim_cap: int = 4096) -> SpectrumResult:
+def joint_spectrum(m: GaudinModel, tol: float = 1e-8, seed: int = 0) -> SpectrumResult:
     """Joint eigenvalue tuples of {L_alpha} on the singlet sector.
 
     Singlets are the vectors annihilated by the global e, f, h; on that
     subspace one generic random combination sum c_a L_a is diagonalized by
     np.linalg.eig (LAPACK geev) and the tuples read off as Rayleigh quotients,
     with per-tuple residuals.  Each eigenvector is normalised and its phase
-    fixed on its largest full-basis entry.
+    fixed on its largest full-basis entry.  Raises DimensionCapError past
+    DIM_CAP.
     """
-    d = tensor_dim(m)
-    if d > dim_cap:
-        raise DimensionCapError(f"tensor dimension {d} exceeds cap {dim_cap}")
     es, fs, hs = site_matrices(m)
+    d = tensor_dim(m)
     E, F, H = sum(es), sum(fs), sum(hs)
     # singlets = null space of the PSD form E*E + F*F + H*H
     M = E.conj().T @ E + F.conj().T @ F + H.conj().T @ H
@@ -381,9 +405,9 @@ def rational_matrix_reports(m: GaudinModel, tol: float = 1e-10) -> list:
     sum_zero = float(np.abs(sum(Ls)).max())
 
     m1 = sum(zi * L for zi, L in zip(m.z, Ls)) - rhs[1] * eye \
-        - (E @ F + F @ E + 0.5 * (H @ H))
+        - sl2_pairing((E, F, H), (E, F, H), np.matmul)
     m2 = sum(zi**2 * L for zi, L in zip(m.z, Ls)) - rhs[2] * eye \
-        - 2.0 * (E1 @ F + F1 @ E + 0.5 * (H1 @ H))
+        - 2.0 * sl2_pairing((E1, F1, H1), (E, F, H), np.matmul)
 
     mk = lambda label, val, anchor: VerificationReport(label, n_pairs or 1, val, tol, 0, anchor)
     return [
@@ -433,51 +457,51 @@ def _kernel_coef(zratio, p, nvars, inverse):
     return FuncCoef(lambda pt: val(pt[0]), partials=(d1,) + zeros)
 
 
-def _acc(terms, I, coef):
-    terms[I] = SumCoef((terms[I], coef)) if I in terms else coef
+def weighted_sum(gens, weights):
+    """(sum_a ce_a e^(a), sum_a cf_a f^(a), sum_a ch_a h^(a)).
+
+    gens[a] is the site triple (e, f, h) of operators and weights[a] the
+    triple (ce, cf, ch) of numbers or Coefficients.  Each term of a site
+    generator g becomes ProdCoef((c_a, g_I)); a multi-index that several
+    sites carry gets the SumCoef of their products in site order.  Terms are
+    emitted in descending multi-index order, so the sum and every
+    composition built from it do not depend on which site first carries a
+    multi-index.
+    """
+    out = []
+    for k in range(3):
+        acc = {}
+        for g, w in zip(gens, weights):
+            c = as_coef(w[k])
+            for I, t in g[k].terms.items():
+                acc.setdefault(I, []).append(ProdCoef((c, t)))
+        out.append(DifferentialOperator(gens[0][k].vars, {
+            I: cs[0] if len(cs) == 1 else SumCoef(tuple(cs))
+            for I, cs in sorted(acc.items(), reverse=True)}))
+    return tuple(out)
 
 
-def elliptic_current_operators(m: GaudinModel, z):
-    """Currents e(z), f(z), h(z) on (tsq, t_1..t_N).
+def current_operators(m: GaudinModel, z, gens):
+    """Currents e(z), f(z), h(z) of the site triples gens on (tsq, x_1..x_N).
 
     e(z) = sum_a Kn(tsq^{-1}, z/z_a) e^(a), f(z) = sum_a Kn(tsq, z/z_a) f^(a),
-    h(z) = 2 tsq d/dtsq + sum_a tdot(z/z_a) h^(a), with the site
-    generators realized as first-order operators in t_a.
+    h(z) = 2 tsq d/dtsq + sum_a tdot(z/z_a) h^(a).  elliptic_site_operators
+    gives the direct currents on t; sov.radon_generators(..., elliptic=True)
+    gives the barred currents on u.
     """
     validate_model(m)
     if not m.is_elliptic:
         raise GaudinModelError(["not_elliptic"])
     p = _params(m)
     nv = m.N + 1
-    vars_ = elliptic_vars(m)
-    z = complex(z)
-
-    e_terms, f_terms, h_terms = {}, {}, {}
-    for a, (za, la) in enumerate(zip(m.z, m.lam)):
-        ratio = z / za
-        aC = _kernel_coef(ratio, p, nv, inverse=True)
-        bC = _kernel_coef(ratio, p, nv, inverse=False)
-        tau = theta_log_deriv(ratio, p)
-        i = a + 1
-        # e^(a) = t_a^2 d_a + 2 lam_a t_a
-        _acc(e_terms, axis_index(nv, i), ProdCoef((aC, axis_monomial(nv, i, 2))))
-        _acc(e_terms, (0,) * nv, ProdCoef((aC, axis_monomial(nv, i, 1, 2 * la))))
-        # f^(a) = -d_a
-        _acc(f_terms, axis_index(nv, i), ProdCoef((ConstCoef(-1.0), bC)))
-        # tau_a h^(a) = 2 tau_a (t_a d_a + lam_a)
-        _acc(h_terms, axis_index(nv, i), axis_monomial(nv, i, 1, 2 * tau))
-        _acc(h_terms, (0,) * nv, ConstCoef(2 * tau * la))
-
-    _acc(h_terms, axis_index(nv, 0), axis_monomial(nv, 0, 1, 2.0))
-
-    mk = lambda terms: DifferentialOperator(vars_, dict(terms))
-    return mk(e_terms), mk(f_terms), mk(h_terms)
-
-
-def elliptic_hamiltonian_density(m: GaudinModel, z) -> DifferentialOperator:
-    """Normal-ordered density e(z)f(z) + f(z)e(z) + h(z)^2/2."""
-    e, f, h = elliptic_current_operators(m, z)
-    return op_compose(e, f) + op_compose(f, e) + 0.5 * op_compose(h, h)
+    weights = []
+    for za in m.z:
+        ratio = complex(z) / za
+        weights.append((_kernel_coef(ratio, p, nv, inverse=True),
+                        _kernel_coef(ratio, p, nv, inverse=False),
+                        theta_log_deriv(ratio, p)))
+    e, f, h = weighted_sum(gens, weights)
+    return e, f, h + make_op(h.vars, {axis_index(nv, 0): axis_monomial(nv, 0, 1, 2.0)})
 
 
 def elliptic_site_operators(m: GaudinModel):
@@ -515,37 +539,42 @@ def _fit_points(m: GaudinModel, count: int, seed: int = 20260814):
 
 
 class DensityFit:
-    """Least-squares extraction of {L_0, L_a} from a quadratic current density.
+    """Least-squares extraction of {L_0, L_a} from the density of the currents
+    current_operators(m, z, gens), one fit for every realization.
 
-    The density expands over {1, tdot_a(z), p_a(z), tdot_a(z)^2} with operator
-    coefficients.  The p_a and tdot_a^2 coefficients are known in closed form
-    (Casimir constant minus the h-bilinear, and the h-bilinear), so they are
-    subtracted and the remaining {L_0, L_a} solved per evaluation point by
-    least squares, cached point by point.  Parameterized over the current
-    realization so both the direct currents and their Radon-transformed
-    counterparts in the u-variables go through the same fit.
+    The density sl2_pairing(c(z), c(z)) of the currents c(z) expands over
+    {1, tdot_a(z), p_a(z), tdot_a(z)^2} with operator coefficients.  The p_a
+    and tdot_a^2 coefficients are known in closed form (the Casimir constant
+    casimirs[a] minus the h-bilinear, and the h-bilinear h^(a) sum_b h^(b)/2),
+    so they are subtracted and the remaining {L_0, L_a} solved per evaluation
+    point by least squares, cached point by point.  The direct generators
+    (Casimir 2 lam(lam-1)) and the barred ones in the u-variables (Casimir
+    2 lam(lam+1)) both go through this fit.
     """
 
-    def __init__(self, vars_, z_sites, p, density_at, site_hs, casimirs, z_samples):
-        self.vars_ = tuple(vars_)
-        self.z_sites = tuple(z_sites)
-        self.p = p
-        self.z_samples = list(z_samples)
-        n = len(self.z_samples)
-        self._densities = [density_at(zj) for zj in self.z_samples]
+    def __init__(self, m: GaudinModel, gens, casimirs, n_samples: Optional[int] = None,
+                 seed: int = 20260814):
+        validate_model(m)
+        if not m.is_elliptic:
+            raise GaudinModelError(["not_elliptic"])
+        self.vars_ = gens[0][2].vars
+        self.z_sites = m.z
+        p = _params(m)
+        z_samples = _fit_points(m, max(2 * m.N + 2, n_samples or 0), seed)
+        n = len(z_samples)
+        self._densities = [sl2_pairing(c, c)
+                           for c in (current_operators(m, zj, gens) for zj in z_samples)]
 
-        Hp = site_hs[0]
-        for hb in site_hs[1:]:
+        Hp = gens[0][2]
+        for _, _, hb in gens[1:]:
             Hp = Hp + hb
         nv = len(self.vars_)
-        self._j_tau2 = [0.5 * op_compose(h, Hp) for h in site_hs]
-        self._j_p = []
-        for cas, jt in zip(casimirs, self._j_tau2):
-            const = make_op(self.vars_, {(0,) * nv: ConstCoef(cas)})
-            self._j_p.append(const - jt)
+        self._j_tau2 = [0.5 * op_compose(h, Hp) for _, _, h in gens]
+        self._j_p = [make_op(self.vars_, {(0,) * nv: ConstCoef(cas)}) - jt
+                     for cas, jt in zip(casimirs, self._j_tau2)]
 
         vals = [[_log_deriv_and_wp(zj / za, p) for za in self.z_sites]
-                for zj in self.z_samples]
+                for zj in z_samples]
         tau = np.array([[td for td, _ in row] for row in vals])
         self._pz = np.array([[wp for _, wp in row] for row in vals])
         self._tau = tau
@@ -597,39 +626,25 @@ class DensityFit:
         return DifferentialOperator(self.vars_, terms)
 
 
-class EllipticHamiltonians(DensityFit):
-    """L_0, L_1..L_N for the direct currents on (tsq, t_1..t_N)."""
-
-    def __init__(self, m: GaudinModel, n_samples: Optional[int] = None,
-                 seed: int = 20260814):
-        validate_model(m)
-        if not m.is_elliptic:
-            raise GaudinModelError(["not_elliptic"])
-        self.model = m
-        n = max(2 * m.N + 2, n_samples or 0)
-        sites = elliptic_site_operators(m)
-        super().__init__(
-            elliptic_vars(m), m.z, _params(m),
-            lambda zj: elliptic_hamiltonian_density(m, zj),
-            [h for (_, _, h) in sites],
-            [2 * la * (la - 1) for la in m.lam],
-            _fit_points(m, n, seed),
-        )
-
-
 def elliptic_hamiltonians(m: GaudinModel, n_samples: Optional[int] = None,
-                          seed: int = 20260814) -> EllipticHamiltonians:
-    return EllipticHamiltonians(m, n_samples, seed)
+                          seed: int = 20260814) -> DensityFit:
+    """L_0, L_1..L_N for the direct currents on (tsq, t_1..t_N)."""
+    return DensityFit(m, elliptic_site_operators(m), [2 * la * (la - 1) for la in m.lam],
+                      n_samples, seed)
 
 
 # ------------------------------------------------------- restricted test family
 
 
-def weight_restricted_monomials(m: GaudinModel, count: int = 4, seed: int = 5,
-                                tsq_exponents=(0, 1, -1)):
+#: tsq exponents of the weight-restricted monomials, in turn
+_TSQ_EXPONENTS = (0, 1, -1)
+
+
+def weight_restricted_monomials(m: GaudinModel, count: int = 4, seed: int = 5):
     """Monomials in (tsq, t_1..t_N) annihilated by sum_a h^(a).
 
-    Exponents satisfy sum_a g_a = -sum_a lam_a; the tsq exponent is free.
+    Exponents satisfy sum_a g_a = -sum_a lam_a; the tsq exponent is free and
+    runs through _TSQ_EXPONENTS.
     """
     rng = np.random.default_rng(seed)
     target = -sum(m.lam)
@@ -639,7 +654,7 @@ def weight_restricted_monomials(m: GaudinModel, count: int = 4, seed: int = 5,
         g[-1] = 0.0
         g = g - g.sum() / m.N
         g = g + np.full(m.N, target / m.N)
-        g0 = tsq_exponents[i % len(tsq_exponents)]
+        g0 = _TSQ_EXPONENTS[i % len(_TSQ_EXPONENTS)]
         out.append(Monomial((g0,) + tuple(complex(v) for v in g)))
     return out
 
@@ -652,11 +667,11 @@ def restricted_commutativity_report(m: GaudinModel, pairs=2, tol: float = 1e-8,
     worst = 0.0
     samples = 0
     tests = weight_restricted_monomials(m, count=3, seed=seed)
+    sites = elliptic_site_operators(m)
     for _ in range(pairs):
         zs = _fit_points(m, 2, seed=int(rng.integers(1, 10**6)))
-        D1 = elliptic_hamiltonian_density(m, zs[0])
-        D2 = elliptic_hamiltonian_density(m, zs[1])
-        comm = op_commutator(D1, D2)
+        c1, c2 = (current_operators(m, zj, sites) for zj in zs)
+        comm = op_commutator(sl2_pairing(c1, c1), sl2_pairing(c2, c2))
         for mono in tests:
             for _ in range(2):
                 pt = tuple(cmath.exp(complex(rng.uniform(-0.05, 0.05),

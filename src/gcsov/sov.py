@@ -15,9 +15,11 @@ Both sides weight the same Radon-transformed site generators
 
     ebar = -(u d^2 + 2(lam+1) d),   fbar = u,   hbar = -2(u d + lam + 1)
 
-by the kernel evaluated at a zero w_i.  On the locus the fbar-combination is
-the defining equation of w_i, so it vanishes identically in u and the hatted
-quadratic combination collapses toward a one-variable operator in w_i.
+in one gaudin.weighted_sum: by 1/(w_i - z_a) in the rational hatted family,
+by the kernels in the elliptic barred currents.  On the locus the
+fbar-combination is the defining equation of w_i, so it vanishes identically
+in u and the hatted quadratic combination collapses toward a one-variable
+operator in w_i.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .operators import (
     DifferentialOperator,
     FuncCoef,
     Monomial,
-    ProdCoef,
-    SumCoef,
     VerificationReport,
     apply_term_map,
     axis_index,
@@ -64,11 +64,11 @@ from .special_functions import (
 from .gaudin import (
     DensityFit,
     GaudinModel,
-    _fit_points,
-    _kernel_coef,
     _params,
     mu_constraints,
+    sl2_pairing,
     validate_model,
+    weighted_sum,
 )
 
 
@@ -327,7 +327,9 @@ def radon_generators(lam, site: int, n: int, elliptic: bool = False):
 
     ebar = -(u d^2 + 2(lam+1) d), fbar = u, hbar = -2(u d + lam + 1); the same
     formulas serve both cases, the elliptic ones just carry tsq as an inert
-    leading variable.
+    leading variable.  The Weyl map t -> d/du, d/dt -> -u sends the direct
+    triple at lam (gaudin.sl2_rep) to this one at -lam; the Casimirs
+    2 lam(lam-1) and 2 lam'(lam'+1) agree at lam' = -lam.
     """
     vars_ = _ell_vars(n) if elliptic else _uvars(n)
     nv = len(vars_)
@@ -347,14 +349,11 @@ def radon_hamiltonians_rational(m: GaudinModel) -> list:
     gens = [radon_generators(la, a, m.N) for a, la in enumerate(m.lam)]
     out = []
     for a in range(m.N):
-        ea, fa, ha = gens[a]
         acc = None
         for b in range(m.N):
             if b == a:
                 continue
-            eb, fb, hb = gens[b]
-            omega = op_compose(ea, fb) + op_compose(fa, eb) + 0.5 * op_compose(ha, hb)
-            term = (2.0 / (m.z[a] - m.z[b])) * omega
+            term = (2.0 / (m.z[a] - m.z[b])) * sl2_pairing(gens[a], gens[b])
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
@@ -373,7 +372,8 @@ def build_hat_operators_rational(m: GaudinModel, s: SeparatedCoordinates, i: int
                                  _frame: Optional[_RationalFrame] = None):
     """Hatted operators at the root w_i: (ehat, fhat, hhat, Lhat).
 
-    Coefficients 1/(w_i - z_a) are functions of u through the tracked root, so
+    Each is the weighted sum of the barred site generators with coefficients
+    c_a = 1/(w_i - z_a), functions of u through the tracked root, so
     compositions differentiate through the locus.  Lhat weights the barred
     Hamiltonians: Lhat = sum_a (Lbar_a - mu_a)/(w_i - z_a).  _frame, if given,
     is a _RationalFrame based at s.w whose root caches are shared.
@@ -401,20 +401,8 @@ def build_hat_operators_rational(m: GaudinModel, s: SeparatedCoordinates, i: int
         return FuncCoef(val, partials=tuple(partials))
 
     cC = [cfun(a) for a in range(nv)]
-
-    e_terms, f_parts, h_terms = {}, [], {}
-    h0 = []
-    for a, la in enumerate(m.lam):
-        ua = axis_monomial(nv, a)
-        e_terms[axis_index(nv, a, 2)] = ProdCoef((ConstCoef(-1.0), cC[a], ua))
-        e_terms[axis_index(nv, a)] = ProdCoef((ConstCoef(-2 * (la + 1)), cC[a]))
-        f_parts.append(ProdCoef((cC[a], ua)))
-        h_terms[axis_index(nv, a)] = ProdCoef((ConstCoef(-2.0), cC[a], ua))
-        h0.append(ProdCoef((ConstCoef(-2 * (la + 1)), cC[a])))
-    h_terms[(0,) * nv] = SumCoef(tuple(h0))
-    ehat = DifferentialOperator(vars_, e_terms)
-    fhat = make_op(vars_, {(0,) * nv: SumCoef(tuple(f_parts))})
-    hhat = DifferentialOperator(vars_, h_terms)
+    gens = [radon_generators(la, a, m.N) for a, la in enumerate(m.lam)]
+    ehat, fhat, hhat = weighted_sum(gens, [(c, c, c) for c in cC])
 
     Lbars = radon_hamiltonians_rational(m)
     Lhat = None
@@ -596,8 +584,7 @@ def verify_rational_separation(m: GaudinModel, points: int = 20, tol: float = 1e
         scal = complex((np.array(m.mu) * c).sum()
                        + (2 * np.array(m.lam) * (np.array(m.lam) + 1) * c * c).sum())
 
-        Bhat = op_compose(ehat, fhat) + op_compose(fhat, ehat) \
-            + 0.5 * op_compose(hhat, hhat)
+        Bhat = sl2_pairing((ehat, fhat, hhat), (ehat, fhat, hhat))
         lhs_snap = eval_terms(Lhat, pt)
         rhs_snap = eval_terms(Bhat, pt)
         zero = (0,) * m.N
@@ -979,65 +966,11 @@ def sov_jacobian_elliptic(u, t2, m: GaudinModel) -> CoordinateMap:
 # -------------------------------------------- elliptic currents, barred side
 
 
-def radon_current_operators(m: GaudinModel, zpt):
-    """Barred currents at spectral parameter z, on (tsq, u_1..u_N).
-
-    ebar(z) = sum_a Kn(tsq^-1, z/z_a) ebar^(a),
-    fbar(z) = sum_a Kn(tsq, z/z_a) u_a,
-    hbar(z) = 2 tsq d/dtsq + sum_a tdot(z/z_a) hbar^(a).
-    """
-    validate_model(m)
-    if not m.is_elliptic:
-        raise SovError("not an elliptic model")
-    p = _params(m)
-    nv = m.N + 1
-    vars_ = _ell_vars(m.N)
-    zpt = complex(zpt)
-
-    e_terms, f_parts, h_terms = {}, [], {}
-    h0 = []
-    for a, (za, la) in enumerate(zip(m.z, m.lam)):
-        ratio = zpt / za
-        aC = _kernel_coef(ratio, p, nv, inverse=True)
-        bC = _kernel_coef(ratio, p, nv, inverse=False)
-        tau = theta_log_deriv(ratio, p)
-        iu = 1 + a
-        ua = axis_monomial(nv, iu)
-        e_terms[axis_index(nv, iu, 2)] = ProdCoef((ConstCoef(-1.0), aC, ua))
-        e_terms[axis_index(nv, iu)] = ProdCoef((ConstCoef(-2 * (la + 1)), aC))
-        f_parts.append(ProdCoef((bC, ua)))
-        h_terms[axis_index(nv, iu)] = axis_monomial(nv, iu, scale=-2.0 * tau)
-        h0.append(ConstCoef(-2 * tau * (la + 1)))
-    h_terms[axis_index(nv, 0)] = axis_monomial(nv, 0, scale=2.0)
-    h_terms[(0,) * nv] = SumCoef(tuple(h0))
-
-    ebar = DifferentialOperator(vars_, e_terms)
-    fbar = make_op(vars_, {(0,) * nv: SumCoef(tuple(f_parts))})
-    hbar = DifferentialOperator(vars_, h_terms)
-    return ebar, fbar, hbar
-
-
-def radon_density(m: GaudinModel, zpt) -> DifferentialOperator:
-    e, f, h = radon_current_operators(m, zpt)
-    return op_compose(e, f) + op_compose(f, e) + 0.5 * op_compose(h, h)
-
-
-def radon_site_hs(m: GaudinModel) -> list:
-    return [radon_generators(la, a, m.N, elliptic=True)[2]
-            for a, la in enumerate(m.lam)]
-
-
 def radon_hamiltonians_elliptic(m: GaudinModel, n_samples: Optional[int] = None,
                                 seed: int = 20260814) -> DensityFit:
     """Fitted Lbar_0, Lbar_a for the barred currents; Casimir is 2 lam(lam+1)."""
-    n = max(2 * m.N + 2, n_samples or 0)
-    return DensityFit(
-        _ell_vars(m.N), m.z, _params(m),
-        lambda zj: radon_density(m, zj),
-        radon_site_hs(m),
-        [2 * la * (la + 1) for la in m.lam],
-        _fit_points(m, n, seed),
-    )
+    gens = [radon_generators(la, a, m.N, elliptic=True) for a, la in enumerate(m.lam)]
+    return DensityFit(m, gens, [2 * la * (la + 1) for la in m.lam], n_samples, seed)
 
 
 # ----------------------------------------------------- elliptic verification
@@ -1128,11 +1061,6 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
     sgn = -KERNEL_PRODUCT_SIGN  # sign convention of the kernel product law
 
     fit = radon_hamiltonians_elliptic(m)
-    hbar_site = radon_site_hs(m)
-    Hp = hbar_site[0]
-    for hb in hbar_site[1:]:
-        Hp = Hp + hb
-    hH = [op_compose(h, Hp) for h in hbar_site]
 
     fns = _int_monomials(nv, 4, seed + 2)
     # g monomials over (tsq, w_1..w_N): one pure w, one with tsq, one quadratic
@@ -1157,18 +1085,19 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
 
         fit_snap0 = eval_terms(fit.L0, pt)
         fit_snaps = [eval_terms(La, pt) for La in fit.L]
-        hH_snaps = [eval_terms(op, pt) for op in hH]
+        # hbar^(a) sum_b hbar^(b) / 2, the fit's tdot_a^2 coefficient
+        jt_snaps = [eval_terms(op, pt) for op in fit._j_tau2]
 
         def lhat_apply(derivs, fval):
             out = apply_term_map(fit_snap0, derivs) - mu0 * fval
             for a in range(m.N):
                 out += d_a[a] * (apply_term_map(fit_snaps[a], derivs) - mu[a] * fval)
-                out += 0.5 * d_a[a] ** 2 * apply_term_map(hH_snaps[a], derivs)
+                out += d_a[a] ** 2 * apply_term_map(jt_snaps[a], derivs)
             return out
 
         def derivs_of_monomial(f):
             keys = set(fit_snap0) | {(0,) * nv}
-            for s_ in fit_snaps + hH_snaps:
+            for s_ in fit_snaps + jt_snaps:
                 keys |= set(s_)
             for b in range(nv):
                 keys.add(axis_index(nv, b))
@@ -1213,7 +1142,7 @@ def verify_elliptic_separation(m: GaudinModel, points: int = 3, tol: float = 1e-
 
             Bf = eff + fe + 0.5 * hhf
             jp = [2 * lam[a] * (lam[a] + 1) * fval
-                  - 0.5 * apply_term_map(hH_snaps[a], df) for a in range(m.N)]
+                  - apply_term_map(jt_snaps[a], df) for a in range(m.N)]
             eight = lhs - Bf + mu0 * fval + sum(mu[a] * d_a[a] * fval
                                                 for a in range(m.N)) \
                 + sum(p_hat[a] * jp[a] for a in range(m.N))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import gcsov
+import gcsov.gaudin as gaudin
 from gcsov.cli import CliInputError, default_model, load_model, main
-from gcsov.gaudin import NOME_FLOOR, mu_residuals
+from gcsov.gaudin import DimensionCapError, NOME_FLOOR, make_model, mu_residuals
 
 
 def write_model(tmp_path, payload, name="model.json"):
@@ -120,6 +121,25 @@ def test_nome_floor(tmp_path, capsys):
             assert ("bad_nome" in err) == (q < NOME_FLOOR), (q, sub, err)
             if q > NOME_FLOOR and sub == "theta-eval":
                 assert code == 0, err
+
+
+def test_dimension_cap_fires_before_any_dense_matrix(tmp_path, capsys, monkeypatch):
+    # two spin-16 sites: d = 65^2 = 4225 > DIM_CAP, so identity-suite must exit
+    # 4 like spectrum, without building a d x d matrix first
+    def no_dense(*args):
+        raise AssertionError("dense matrix built past the dimension cap")
+
+    monkeypatch.setattr(gaudin, "_pair_omega", no_dense)
+    monkeypatch.setattr(gaudin, "_embed", no_dense)
+    payload = {"z": [0, 1], "lambda": [-32, -32]}
+    path = write_model(tmp_path, payload)
+    for sub in ("identity-suite", "spectrum"):
+        assert main([sub, "--trials", "1", "--model", path]) == 4, sub
+        assert "tensor dimension 4225 exceeds cap 4096" in capsys.readouterr().err
+    m = make_model(payload["z"], payload["lambda"])
+    for build in (gaudin.rational_hamiltonians, gaudin.site_matrices):
+        with pytest.raises(DimensionCapError):
+            build(m)
 
 
 def test_theta_eval_passes_at_small_nomes(tmp_path):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from gcsov.gaudin import (
-    EllipticHamiltonians,
     GaudinModelError,
     RepresentationError,
     check_linear_relations,
-    elliptic_current_operators,
-    elliptic_hamiltonian_density,
+    current_operators,
     elliptic_hamiltonians,
     elliptic_site_operators,
     elliptic_vars,
@@ -21,6 +19,7 @@ from gcsov.gaudin import (
     restricted_commutativity_report,
     sl2_rep,
     site_matrices,
+    sl2_pairing,
     tensor_dim,
     validate_model,
     weight_restricted_monomials,
@@ -222,9 +221,18 @@ def ell_model(n=2, q=0.05, lam=None):
     return make_model(z, lam, q=q)
 
 
+def direct_currents(m, z):
+    return current_operators(m, z, elliptic_site_operators(m))
+
+
+def direct_density(m, z):
+    cur = direct_currents(m, z)
+    return sl2_pairing(cur, cur)
+
+
 def test_current_shapes_and_f_structure():
     m = ell_model()
-    e_op, f_op, h_op = elliptic_current_operators(m, 0.77 + 0.31j)
+    e_op, f_op, h_op = direct_currents(m, 0.77 + 0.31j)
     assert e_op.vars == ("tsq", "t_1", "t_2")
     # f(z) is order 1 with no tsq derivative
     assert f_op.order == 1
@@ -237,7 +245,7 @@ def test_current_coefficients_match_kernels():
     m = ell_model()
     z = 0.77 + 0.31j
     p = EllipticParams(q=m.elliptic.q)
-    e_op, f_op, h_op = elliptic_current_operators(m, z)
+    e_op, f_op, h_op = direct_currents(m, z)
     pt = (0.52 + 0.40j, 1.1, 0.9)
     snap_f = eval_terms(f_op, pt)
     for a, za in enumerate(m.z):
@@ -268,7 +276,7 @@ def test_density_on_constants_matches_hand_formula():
     m = ell_model()
     z = 0.9 * cmath.exp(0.7j)
     p = EllipticParams(q=m.elliptic.q)
-    D = elliptic_hamiltonian_density(m, z)
+    D = direct_density(m, z)
     assert D.order == 2
     pt = (0.47 + 0.33j, 1.2 + 0.1j, 0.8 - 0.2j)
     got = op_apply(D, Monomial((0, 0, 0)), pt)
@@ -310,7 +318,7 @@ def test_density_expansion_fit_is_consistent():
     # reconstruct the density at a fresh z from the fitted pieces + knowns
     p = EllipticParams(q=m.elliptic.q)
     znew = 1.04 * cmath.exp(2.2j)
-    D = elliptic_hamiltonian_density(m, znew)
+    D = direct_density(m, znew)
     snap = eval_terms(D, pt)
     recon = {}
     sol0 = eval_terms(ham.L0, pt)
@@ -353,4 +361,4 @@ def test_restricted_commutativity_of_densities():
 def test_elliptic_requires_elliptic_data():
     m = make_model([0, 1], [-0.5, -0.5])
     with pytest.raises(GaudinModelError):
-        elliptic_current_operators(m, 0.5)
+        direct_currents(m, 0.5)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gcsov.gaudin import make_model
+from gcsov.gaudin import current_operators, make_model
 from gcsov.operators import eval_terms, fd_jacobian
 from gcsov.special_functions import (
     EllipticParams,
@@ -22,7 +22,7 @@ from gcsov.sov import (
     SovError,
     elliptic_u_to_w,
     elliptic_w_to_u,
-    radon_current_operators,
+    radon_generators,
     radon_hamiltonians_elliptic,
     _abel_power,
     _psi_terms,
@@ -335,8 +335,9 @@ def test_radon_current_multiplier_vanishes_at_zero():
     u = generic_u(3, 11)
     frame = EllipticSovFrame(m, u, T2)
     pt = frame.base_point()
+    gens = [radon_generators(la, a, m.N, elliptic=True) for a, la in enumerate(m.lam)]
     for wi in frame.base_w:
-        _, fbar, _ = radon_current_operators(m, wi)
+        _, fbar, _ = current_operators(m, wi, gens)
         snap = eval_terms(fbar, pt)
         assert abs(snap[(0,) * (m.N + 1)]) < 1e-10
 
