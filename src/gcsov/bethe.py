@@ -140,8 +140,14 @@ def bethe_equations_rational(sol: SeparatedSolution, m: GaudinModel) -> np.ndarr
 
 
 def _solve_rows(J, rhs):
-    """x[k] = J[k]^-1 rhs[k] and a mask of the rows whose J[k] is not singular."""
+    """Newton steps x[k] of every row and a mask of the rows that have one.
+
+    A square J is solved as one batch, and a singular J[k] fails only its
+    row.  A tall J takes each row's least-squares step from lstsq.
+    """
     ok = np.ones(len(rhs), dtype=bool)
+    if J.shape[1] != J.shape[2]:
+        return np.array([np.linalg.lstsq(Jk, rk, rcond=None)[0] for Jk, rk in zip(J, rhs)]), ok
     try:
         return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], ok
     except np.linalg.LinAlgError:
@@ -154,19 +160,24 @@ def _solve_rows(J, rhs):
         return x, ok
 
 
-def _newton_rows(a0, s, z, iters=60, tol=1e-12):
-    """Newton with a halving line search, run on every row of a0 at once.
+def _newton_rows(resid, jac, x0, iters, tol, halvings):
+    """Newton with a halving line search, run on every row of x0 at once.
 
-    Each row follows its own iteration exactly as a lone solve would: stop
-    when max |r| < tol, fail on a non-finite start, a singular Jacobian, 14
-    halvings without a decrease of max |r|, or iters steps.  Returns a list
-    with the converged roots of each row, or None where the row failed.
+    resid maps a (rows, k) array to its residual rows and jac(x, r) returns
+    the Jacobians of those rows at their residuals r; both solvers of this
+    module run their restarts through here.  Each row follows its own
+    iteration exactly as a lone solve would: stop when max |r| < tol, fail
+    on a non-finite residual, a singular Jacobian, `halvings` halvings
+    without a decrease of max |r|, or iters steps.  Returns a list with the
+    converged x of each row, or None where the row failed; no rows give [].
     """
-    a = np.array(a0, dtype=complex)
-    out = [None] * len(a)
+    out = [None] * len(x0)
+    if not out:
+        return out
+    a = np.array(x0, dtype=complex)
     rows = np.arange(len(a))
     with np.errstate(all="ignore"):
-        r = _bethe_residual(a, s, z)
+        r = resid(a)
         for _ in range(iters):
             rn = np.abs(r).max(axis=1)
             finite = np.isfinite(r).all(axis=1)
@@ -177,15 +188,15 @@ def _newton_rows(a0, s, z, iters=60, tol=1e-12):
             a, r, rn, rows = a[live], r[live], rn[live], rows[live]
             if not len(rows):
                 break
-            step, searching = _solve_rows(_bethe_jacobian(a, s, z), -r)
+            step, searching = _solve_rows(jac(a, r), -r)
             moved = np.zeros(len(rows), dtype=bool)
             t = np.ones(len(rows))
-            for _ in range(14):
+            for _ in range(halvings):
                 k = np.flatnonzero(searching)
                 if not len(k):
                     break
                 trial = a[k] + t[k, None] * step[k]
-                r2 = _bethe_residual(trial, s, z)
+                r2 = resid(trial)
                 good = np.isfinite(r2).all(axis=1) & (np.abs(r2).max(axis=1) < rn[k])
                 a[k[good]], r[k[good]] = trial[good], r2[good]
                 moved[k[good]] = True
@@ -245,7 +256,8 @@ def bethe_solve_rational(m: GaudinModel, n_roots: int, seeds: int = 60,
         else:
             rng = np.random.default_rng(seed)  # same seed per pattern: reproducible
             starts = [_seed_roots(rng, z, n_roots) for _ in range(seeds)]
-            for a in _newton_rows(starts, s, z):
+            for a in _newton_rows(lambda a: _bethe_residual(a, s, z),
+                                  lambda a, r: _bethe_jacobian(a, s, z), starts, 60, 1e-12, 14):
                 if a is None:
                     fails += 1
                     continue
@@ -482,14 +494,15 @@ def bethe_solve_elliptic(m: GaudinModel, n_roots: Optional[int] = None,
     """Joint least-squares solve for (a_i, mu0, mu_a).
 
     Residuals: D psi / psi at a fixed random sample set, sum mu, and the
-    spread of the quasi-periodicity multiplier between two points.
-    Gauss-Newton with a numeric complex Jacobian and backtracking; the
-    root count defaults to sum lam (forced by single-valuedness) and must
-    be supplied explicitly when that is not a nonnegative integer.  The
-    site terms tdot(w/z_a), wp(w/z_a) and theta(w/z_a)^(-lam_a) at the fixed
-    points are evaluated once per solve (samples x N fused tdot/wp calls and
-    4 x N theta calls); every residual and Jacobian column recomputes only
-    the terms of the roots.
+    spread of the quasi-periodicity multiplier between two points.  The
+    restarts, drawn up front in seed order, are rows of _newton_rows with a
+    forward-difference Jacobian (so each step is a least-squares one), read
+    back in seed order for the mu dedupe.  The root count defaults to sum
+    lam (forced by single-valuedness) and must be supplied explicitly when
+    that is not a nonnegative integer.  The site terms tdot(w/z_a), wp(w/z_a)
+    and theta(w/z_a)^(-lam_a) at the fixed points are evaluated once per
+    solve (samples x N fused tdot/wp calls and 4 x N theta calls); every
+    residual and Jacobian column recomputes only the terms of the roots.
     """
     if m.elliptic is None:
         raise BetheError("elliptic_case_only")
@@ -515,34 +528,16 @@ def bethe_solve_elliptic(m: GaudinModel, n_roots: Optional[int] = None,
             J[:, j] = (resid(xp) - r0) / h
         return J
 
+    starts = [np.concatenate([np.exp(rng.uniform(-0.5, 0.2, n) + 2j * np.pi * rng.random(n)),
+                              0.3 * (rng.standard_normal(N + 1)
+                                     + 1j * rng.standard_normal(N + 1))])
+              for _ in range(seeds)]
+    rows = _newton_rows(lambda xs: np.array([resid(x) for x in xs]),
+                        lambda xs, rs: np.array([jac(x, r) for x, r in zip(xs, rs)]),
+                        starts, 80, tol, 12)
     sols = []
-    fails = 0
-    for _ in range(seeds):
-        a0 = np.exp(rng.uniform(-0.5, 0.2, n) + 2j * np.pi * rng.random(n))
-        x = np.concatenate([a0, 0.3 * (rng.standard_normal(N + 1)
-                                       + 1j * rng.standard_normal(N + 1))])
-        ok = False
-        with np.errstate(all="ignore"):
-            for _ in range(80):
-                r = resid(x)
-                if not np.all(np.isfinite(r)):
-                    break
-                rn = float(np.abs(r).max())
-                if rn < tol:
-                    ok = True
-                    break
-                step = np.linalg.lstsq(jac(x, r), -r, rcond=None)[0]
-                t = 1.0
-                for _ in range(12):
-                    r2 = resid(x + t * step)
-                    if np.all(np.isfinite(r2)) and float(np.abs(r2).max()) < rn:
-                        x = x + t * step
-                        break
-                    t *= 0.5
-                else:
-                    break
-        if not ok:
-            fails += 1
+    for x in rows:
+        if x is None:
             continue
         mu0, mu = complex(x[n]), tuple(complex(v) for v in x[n + 1:])
         if any(abs(s.mu0 - mu0) < 1e-6 and max(abs(p_ - q_) for p_, q_ in zip(s.mu, mu)) < 1e-6
@@ -550,6 +545,7 @@ def bethe_solve_elliptic(m: GaudinModel, n_roots: Optional[int] = None,
             continue
         sols.append(SeparatedSolution("elliptic", tuple(complex(v) for v in x[:n]),
                                       tuple(-l for l in m.lam), mu=mu, mu0=mu0))
+    fails = sum(x is None for x in rows)
     if fails:
         log.debug("elliptic bethe: %d/%d seeds unconverged", fails, seeds)
     return sols

@@ -199,6 +199,13 @@ def _ref_newton(a0, s, z, iters=60, tol=1e-12):
     return None
 
 
+def rational_rows(starts, s, z):
+    # the batched Newton as bethe_solve_rational calls it
+    return bethe_mod._newton_rows(lambda a: bethe_mod._bethe_residual(a, s, z),
+                                  lambda a, r: bethe_mod._bethe_jacobian(a, s, z),
+                                  starts, 60, 1e-12, 14)
+
+
 @pytest.mark.parametrize("z, s, n", [
     ((0.0, 1.0), (-0.5, -0.5), 1),
     ((0.0, 1.0 + 0.2j, 2.1 - 0.1j, 3.3), (1.5, -0.5, -0.5, -0.5), 2),
@@ -210,7 +217,7 @@ def test_batched_newton_is_bitwise_the_scalar_one(z, s, n):
     z, s = np.asarray(z, dtype=complex), np.asarray(s, dtype=complex)
     rng = np.random.default_rng(11)
     starts = [bethe_mod._seed_roots(rng, z, n) for _ in range(40)]
-    got = bethe_mod._newton_rows(starts, s, z)
+    got = rational_rows(starts, s, z)
     assert len(got) == len(starts)
     for a0, a in zip(starts, got):
         ref = _ref_newton(a0, s, z)
@@ -232,7 +239,7 @@ def test_batched_newton_singular_row_fails_alone():
     rng = np.random.default_rng(3)
     starts = [bethe_mod._seed_roots(rng, z, 1) for _ in range(12)]
     starts.insert(5, singular)
-    got = bethe_mod._newton_rows(starts, s, z)
+    got = rational_rows(starts, s, z)
     assert got[5] is None and _ref_newton(singular, s, z) is None
     for a0, a in zip(starts, got):
         ref = _ref_newton(a0, s, z)
@@ -377,6 +384,81 @@ def test_hoisted_elliptic_residual_is_bitwise_the_uncached_one(m, n):
         assert np.array_equal(resid(x), ref)
         a, mu0, mu = x[:n], x[n], x[n + 1:]
         assert [_elliptic_dpsi_over_psi(w, a, mu0, mu, m, p) for w in pts] == list(ref[:-2])
+
+
+def _ref_elliptic_rows(m, n, seeds, seed, samples=24, tol=1e-9):
+    # one Gauss-Newton with a halving line search per restart, drawn and run
+    # in seed order: the converged x of each restart, or None
+    p = _params(m)
+    rng = np.random.default_rng(seed)
+    pts = _elliptic_samples(rng, samples, m, ())
+    resid = _elliptic_residual(m, p, pts, n)
+
+    def jac(x, r0):
+        J = np.zeros((r0.size, x.size), dtype=complex)
+        for j in range(x.size):
+            h = 1e-7 * max(1.0, abs(x[j]))
+            xp = x.copy()
+            xp[j] += h
+            J[:, j] = (resid(xp) - r0) / h
+        return J
+
+    out = []
+    for _ in range(seeds):
+        a0 = np.exp(rng.uniform(-0.5, 0.2, n) + 2j * np.pi * rng.random(n))
+        x = np.concatenate([a0, 0.3 * (rng.standard_normal(m.N + 1)
+                                       + 1j * rng.standard_normal(m.N + 1))])
+        ok = False
+        with np.errstate(all="ignore"):
+            for _ in range(80):
+                r = resid(x)
+                if not np.all(np.isfinite(r)):
+                    break
+                rn = float(np.abs(r).max())
+                if rn < tol:
+                    ok = True
+                    break
+                step = np.linalg.lstsq(jac(x, r), -r, rcond=None)[0]
+                t = 1.0
+                for _ in range(12):
+                    r2 = resid(x + t * step)
+                    if np.all(np.isfinite(r2)) and float(np.abs(r2).max()) < rn:
+                        x = x + t * step
+                        break
+                    t *= 0.5
+                else:
+                    break
+        out.append(x if ok else None)
+    return out
+
+
+@pytest.mark.parametrize("m, n, seed", [
+    (elliptic_pair(), 2, 7),
+    (make_model((1.0, 1.2 * cmath.exp(2.2j), 0.9 * cmath.exp(4.0j)), (1.0, -0.5, 0.5),
+                q=0.2 * cmath.exp(1.1j)), 1, 7),
+])
+def test_elliptic_rows_are_bitwise_the_per_restart_gauss_newton(m, n, seed, monkeypatch):
+    seen = []
+    newton = bethe_mod._newton_rows
+
+    def spy(*args):
+        seen.append(newton(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bethe_mod, "_newton_rows", spy)
+    bethe_solve_elliptic(m, n_roots=n, seeds=16, seed=seed)
+    (rows,) = seen
+    ref = _ref_elliptic_rows(m, n, 16, seed)
+    assert [x is None for x in rows] == [x is None for x in ref]
+    assert 0 < sum(x is None for x in ref) < len(ref)
+    for x, y in zip(rows, ref):
+        if y is not None:
+            assert x.tobytes() == y.tobytes()
+
+
+def test_zero_restarts_find_no_solutions():
+    assert bethe_solve_rational(spin_half_pair(), 1, seeds=0) == []
+    assert bethe_solve_elliptic(elliptic_pair(), seeds=0) == []
 
 
 def test_elliptic_solve_evaluates_site_terms_once_per_solve(monkeypatch):

@@ -185,6 +185,19 @@ def test_scaling_field_is_c_dc():
     assert np.abs(J[1:] @ u).max() < 1e-10
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-3])
+def test_root_tracking_raises_on_a_lost_zero(offset):
+    # here P(x) = 1.25 x^2 - 0.25 x - 10, with zeros 2.930 and -2.730 and
+    # P'(0.1) = 0: Newton from 0.1 divides by zero, and from 0.101 it runs
+    # to 2.930, which the base root 3.0 tracks too, so -2.730 is lost
+    m = make_model([0.0, 1.0, 2.5, 4.0], [-0.5, -0.5, -1.0, -1.0])
+    u = (1.0, -2.0, 0.5, 0.5)
+    good = sov_mod._RationalFrame(m, [-2.7, 3.0]).roots(u)
+    assert np.abs(good - [-2.7301943, 2.9301943]).max() < 1e-6
+    with np.errstate(all="ignore"), pytest.raises(SovError, match="lost a zero"):
+        sov_mod._RationalFrame(m, [0.1 + offset, 3.0]).roots(u)
+
+
 # ------------------------------------------------------- transformed generators
 
 
@@ -350,8 +363,9 @@ def test_verify_rational_separation_larger_models():
 
 
 def test_rational_chain_computes_each_chart_jacobian_and_root_gradient_once(monkeypatch):
-    # machine-independent cost check: the pullback asks the chart for its
-    # Jacobian once per distinct quadrature node, each frame computes dw_i/du
+    # machine-independent cost check: check (d) and its two planted controls
+    # ask the chart for its Jacobian once per distinct quadrature node, all
+    # three together, each frame computes dw_i/du
     # once per (point, root), and the frame the sampler builds for its basin
     # check also serves the hatted operators and the chart pullback, so each
     # distinct point of a run is Newton-solved once
@@ -396,8 +410,8 @@ def test_rational_chain_computes_each_chart_jacobian_and_root_gradient_once(monk
         for log in (jac_calls, nodes, asked, solves, droot_keys, coeff_calls):
             log.clear()
         reports = verify_rational_separation(m, points=points, tol=1e-8, seed=seed,
-                                             include_controls=False)
-        assert all(r.passed for r in reports)
+                                             include_controls=True)
+        assert len(reports) == 6 and all(r.passed for r in reports)
         # 16-node circles in each of the N u-directions around each point
         assert len(nodes) > points * m.N * 16
         assert len(jac_calls) == len(nodes)
